@@ -686,34 +686,23 @@ fn cmd_decompress(args: &[String]) -> CmdResult {
     if let Some(d) = f.decoder {
         opts.decoder = d;
     }
-    let symbol_bytes = if frame::is_frame(&packed) {
-        frame::parse(&packed, opts.verify)
-            .map_err(|e| CliError::Corrupt(e.to_string()))?
-            .symbol_bytes
-    } else if huff_core::tune::is_raw(&packed) {
-        huff_core::tune::raw_info(&packed).map_err(|e| CliError::Corrupt(e.to_string()))?.0
-    } else {
-        archive::deserialize_with(&packed, &opts)
-            .map_err(|e| CliError::Corrupt(e.to_string()))?
-            .symbol_bytes
-    };
-    let rec = if (f.trace.is_some() || f.chrome.is_some())
-        && !frame::is_frame(&packed)
-        && !huff_core::tune::is_raw(&packed)
-    {
+    let profiled = f.trace.is_some() || f.chrome.is_some();
+    let rec = if profiled && archive::container(&packed) == Some(archive::Container::Archive) {
         let gpu = f.gpu()?;
         let (rec, profile) = metrics::profile_decompress(&gpu, &packed, &opts)
             .map_err(|e| CliError::Corrupt(e.to_string()))?;
         write_profile_outputs(&f, &profile)?;
         rec
     } else {
-        if f.trace.is_some() || f.chrome.is_some() {
+        if profiled {
             eprintln!(
                 "rsh: multi-shard frames decode without a device profile; --trace/--chrome skipped"
             );
         }
         archive::decompress_with(&packed, &opts).map_err(|e| CliError::Corrupt(e.to_string()))?
     };
+    let symbol_bytes =
+        archive::symbol_bytes(&packed).map_err(|e| CliError::Corrupt(e.to_string()))?;
     let raw = symbols::SymbolWidth::from_bytes(symbol_bytes)
         .map_err(CliError::Corrupt)?
         .encode(&rec.symbols);
@@ -895,7 +884,7 @@ fn cmd_profile(args: &[String]) -> CmdResult {
     let raw = read_file(input)?;
     let gpu = f.gpu()?;
 
-    let is_archive = raw.len() >= 4 && (&raw[..4] == b"RSH1" || &raw[..4] == b"RSH2");
+    let is_archive = archive::container(&raw) == Some(archive::Container::Archive);
     if f.compare {
         return cmd_profile_compare(&f, &raw, is_archive);
     }
@@ -997,10 +986,7 @@ fn cmd_stats(args: &[String]) -> CmdResult {
     let raw = read_file(input)?;
     metrics::registry::global().reset();
 
-    let is_archive = frame::is_frame(&raw)
-        || huff_core::tune::is_raw(&raw)
-        || (raw.len() >= 4 && (&raw[..4] == b"RSH1" || &raw[..4] == b"RSH2"));
-    let lossy = if is_archive {
+    let lossy = if archive::container(&raw).is_some() {
         let mut opts = if f.best_effort {
             DecompressOptions::best_effort()
         } else {
@@ -1015,17 +1001,8 @@ fn cmd_stats(args: &[String]) -> CmdResult {
         let rec =
             archive::decompress_with(&raw, &opts).map_err(|e| CliError::Corrupt(e.to_string()))?;
         if let Some(path) = output {
-            let symbol_bytes = if frame::is_frame(&raw) {
-                frame::parse(&raw, opts.verify)
-                    .map_err(|e| CliError::Corrupt(e.to_string()))?
-                    .symbol_bytes
-            } else if huff_core::tune::is_raw(&raw) {
-                huff_core::tune::raw_info(&raw).map_err(|e| CliError::Corrupt(e.to_string()))?.0
-            } else {
-                archive::deserialize_with(&raw, &opts)
-                    .map_err(|e| CliError::Corrupt(e.to_string()))?
-                    .symbol_bytes
-            };
+            let symbol_bytes =
+                archive::symbol_bytes(&raw).map_err(|e| CliError::Corrupt(e.to_string()))?;
             let decoded = symbols::SymbolWidth::from_bytes(symbol_bytes)
                 .map_err(CliError::Corrupt)?
                 .encode(&rec.symbols);
@@ -1147,6 +1124,15 @@ fn cmd_bench(args: &[String]) -> CmdResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// `cmd_stats` resets the process-wide metrics registry. Every test
+    /// that calls it holds this lock, so no reset lands while another of
+    /// them is reading the registry.
+    fn stats_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn tmp(name: &str) -> String {
         let dir = std::env::temp_dir().join("rsh-cli-tests");
@@ -1643,6 +1629,7 @@ mod tests {
 
     #[test]
     fn stats_compresses_raw_input_and_writes_output() {
+        let _g = stats_lock();
         let input = tmp("stats.bin");
         let packed = tmp("stats.rsh");
         let payload: Vec<u8> = (0..50_000u32).map(|i| (i % 71) as u8).collect();
@@ -1668,6 +1655,7 @@ mod tests {
 
     #[test]
     fn stats_handles_archives_and_frames() {
+        let _g = stats_lock();
         let input = tmp("statsa.bin");
         let packed = tmp("statsa.rsh");
         let payload: Vec<u8> = (0..40_000u32).map(|i| (i % 53) as u8).collect();

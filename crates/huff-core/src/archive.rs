@@ -51,7 +51,7 @@ use crate::integrity::{
 };
 use crate::seek::ChunkIndex;
 use crate::sparse::SparseOutliers;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use std::ops::Range;
 
 const MAGIC_V1: &[u8; 4] = b"RSH1";
@@ -361,284 +361,74 @@ fn bad(msg: impl Into<String>) -> HuffError {
 /// [`Parsed::chunk_damage`] instead. A truncated *payload* is an error
 /// in strict mode; in best-effort mode the missing tail chunks are
 /// marked damaged.
+///
+/// The header is read by the same borrowed walk as [`layout`] and
+/// [`range_window`]; the archive is never copied, only its payload, once,
+/// into the returned stream. The per-chunk checksum loop is the one
+/// [`range_window`] runs over its covering chunks.
 pub fn deserialize_with(archive: &[u8], opts: &DecompressOptions) -> Result<Parsed> {
-    let mut buf = Bytes::copy_from_slice(archive);
-    let need = |buf: &Bytes, n: usize| -> Result<()> {
-        if buf.remaining() < n {
-            Err(bad(format!("truncated: need {n} more bytes")))
-        } else {
-            Ok(())
-        }
-    };
-    // Offset of the next unread byte within `archive`.
-    let pos = |buf: &Bytes| archive.len() - buf.remaining();
-
-    need(&buf, 16)?;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    let version: u8 = match &magic {
-        m if m == MAGIC_V1 => 1,
-        m if m == MAGIC_V2 => 2,
-        _ => return Err(bad("bad magic")),
-    };
-    let symbol_bytes = buf.get_u8();
-    let magnitude = u32::from(buf.get_u8());
-    let reduction = u32::from(buf.get_u8());
-    let _flags = buf.get_u8();
-    if !(2..=24).contains(&magnitude) || reduction == 0 || reduction >= magnitude {
-        return Err(bad(format!("bad config M={magnitude} r={reduction}")));
+    let mut hdr = walk(archive, opts.verify, ChunkTable::Summed)?;
+    let payload_bytes = hdr.payload_bytes();
+    if opts.mode == RecoveryMode::Strict && hdr.payload_avail(archive) < payload_bytes {
+        return Err(bad(format!("truncated: need {payload_bytes} more bytes")));
     }
-    let num_symbols_u64 = buf.get_u64_le();
-    let num_symbols: usize =
-        num_symbols_u64.try_into().map_err(|_| bad("symbol count exceeds address space"))?;
-    let config = MergeConfig::new(magnitude, reduction);
-
-    need(&buf, 4)?;
-    let cb_len = buf.get_u32_le() as usize;
-    need(&buf, cb_len)?;
-    // `need` bounds cb_len by the remaining buffer, so the allocation is
-    // capped by the archive's own size.
-    let mut lengths = Vec::with_capacity(cb_len);
-    for _ in 0..cb_len {
-        lengths.push(u32::from(buf.get_u8()));
-    }
-    // The empty input's archive stores no codebook at all; a missing
-    // codebook with symbols present is still structural damage.
-    let book = if cb_len == 0 && num_symbols == 0 {
-        CanonicalCodebook::empty()
-    } else {
-        CanonicalCodebook::from_lengths(&lengths).map_err(|e| bad(format!("codebook: {e}")))?
-    };
-
-    need(&buf, 4)?;
-    let n_chunks = buf.get_u32_le() as usize;
-    let chunk_table_bytes =
-        n_chunks.checked_mul(8).ok_or_else(|| bad("chunk table size overflow"))?;
-    need(&buf, chunk_table_bytes)?;
-    let expected_chunks = num_symbols.div_ceil(config.chunk_symbols());
-    if n_chunks != expected_chunks {
-        return Err(bad(format!("chunk count {n_chunks} inconsistent with {num_symbols} symbols")));
-    }
-    let mut chunk_bit_lens = Vec::with_capacity(n_chunks);
-    for _ in 0..n_chunks {
-        chunk_bit_lens.push(buf.get_u64_le());
-    }
-    let mut chunk_bit_offsets = Vec::with_capacity(n_chunks);
-    let mut acc = 0u64;
-    for &l in &chunk_bit_lens {
-        chunk_bit_offsets.push(acc);
-        acc = acc.checked_add(l).ok_or_else(|| bad("chunk bit lengths overflow"))?;
-    }
-
-    need(&buf, 4)?;
-    let n_outliers = buf.get_u32_le() as usize;
-    let unit_syms = config.unit_symbols().max(1);
-    let mut outliers = SparseOutliers::new();
-    let mut last_idx: Option<u64> = None;
-    for _ in 0..n_outliers {
-        need(&buf, 10)?;
-        let idx = buf.get_u64_le();
-        if last_idx.is_some_and(|l| idx <= l) {
-            return Err(bad("outlier units out of order"));
-        }
-        last_idx = Some(idx);
-        let count = buf.get_u16_le() as usize;
-        let unit_base = (idx as usize)
-            .checked_mul(unit_syms)
-            .filter(|&b| b < num_symbols)
-            .ok_or_else(|| bad(format!("outlier unit {idx} beyond {num_symbols} symbols")))?;
-        let expected = unit_syms.min(num_symbols - unit_base);
-        if count != expected {
-            return Err(bad(format!(
-                "outlier unit {idx} stores {count} symbols, unit holds {expected}"
-            )));
-        }
-        need(&buf, count.checked_mul(2).ok_or_else(|| bad("outlier size overflow"))?)?;
-        let syms: Vec<u16> = (0..count).map(|_| buf.get_u16_le()).collect();
-        outliers.push(idx, &syms);
-    }
-
-    need(&buf, 8)?;
-    let total_bits = buf.get_u64_le();
-    if total_bits != acc {
-        return Err(bad(format!("payload length mismatch: header {total_bits}, chunks {acc}")));
-    }
-
-    // Version 2: chunk CRC table + header CRC, then the payload.
-    let mut chunk_crcs: Option<Vec<u32>> = None;
-    if version == 2 {
-        let crc_table_bytes =
-            n_chunks.checked_mul(4).ok_or_else(|| bad("checksum table size overflow"))?;
-        need(&buf, crc_table_bytes + 4)?;
-        let mut crcs = Vec::with_capacity(n_chunks);
-        for _ in 0..n_chunks {
-            crcs.push(buf.get_u32_le());
-        }
-        let header_end = pos(&buf);
-        let stored_header_crc = buf.get_u32_le();
-        if opts.verify != Verify::None {
-            let got = crc32(&archive[..header_end]);
-            if got != stored_header_crc {
-                return Err(HuffError::ChecksumMismatch {
-                    section: Section::Header,
-                    chunk: None,
-                    expected: stored_header_crc,
-                    got,
-                });
-            }
-        }
-        chunk_crcs = Some(crcs);
-    }
-
-    let payload_bytes = (total_bits as usize).div_ceil(8);
-    let best_effort = opts.mode == RecoveryMode::BestEffort;
-    if !best_effort {
-        need(&buf, payload_bytes)?;
-    }
-    let avail = payload_bytes.min(buf.remaining());
-    let mut bytes = buf.copy_to_bytes(avail).to_vec();
-    let truncated = avail < payload_bytes;
-    if truncated {
-        bytes.resize(payload_bytes, 0);
-    }
-
-    // Per-chunk verification.
-    let mut chunk_damage = vec![false; n_chunks];
-    if version == 2 && opts.verify == Verify::Full {
-        let crcs = chunk_crcs.as_ref().expect("v2 always has chunk crcs");
-        for ci in 0..n_chunks {
-            let span = chunk_byte_span(chunk_bit_offsets[ci], chunk_bit_lens[ci]);
-            let damaged = span.end > avail || crc32(&bytes[span]) != crcs[ci];
-            if damaged {
-                if !best_effort {
-                    let span = chunk_byte_span(chunk_bit_offsets[ci], chunk_bit_lens[ci]);
-                    return Err(HuffError::ChecksumMismatch {
-                        section: Section::Payload,
-                        chunk: Some(ci as u32),
-                        expected: crcs[ci],
-                        got: crc32(&bytes[span]),
-                    });
-                }
-                chunk_damage[ci] = true;
-            }
-        }
-    } else if truncated {
-        // Best-effort without chunk checksums: anything touching the
-        // missing tail is damaged.
-        for ci in 0..n_chunks {
-            let span = chunk_byte_span(chunk_bit_offsets[ci], chunk_bit_lens[ci]);
-            if span.end > avail {
-                chunk_damage[ci] = true;
-            }
-        }
-    }
-
+    let mut offsets = hdr.offsets.take().expect("a summed walk records the chunk offsets");
+    let (bytes, chunk_damage) = window_payload(archive, &hdr, 0, &offsets, opts)?;
+    let chunk_bit_lens = offsets.windows(2).map(|w| w[1] - w[0]).collect();
+    offsets.pop();
     Ok(Parsed {
         stream: ChunkedStream {
-            config,
+            config: hdr.config,
             bytes,
             chunk_bit_lens,
-            chunk_bit_offsets,
-            total_bits,
-            num_symbols,
-            outliers,
+            chunk_bit_offsets: offsets,
+            total_bits: hdr.total_bits,
+            num_symbols: hdr.num_symbols,
+            outliers: hdr.outliers,
         },
-        book,
-        symbol_bytes,
-        version,
+        book: hdr.book,
+        symbol_bytes: hdr.symbol_bytes,
+        version: hdr.version,
         chunk_damage,
     })
 }
 
 /// Map an archive's bytes to container sections.
 ///
-/// Walks the structure without building a codebook or verifying
-/// checksums; used by the fault-injection harness to aim faults at
-/// specific sections. The returned ranges tile `[0, archive.len())` in
-/// order. Fails on archives too malformed to walk.
+/// The boundaries come from the same header walk [`deserialize_with`]
+/// runs, without checksum verification; used by the fault-injection
+/// harness to aim faults at specific sections. The returned ranges tile
+/// `[0, archive.len())` in order. Fails on archives whose header does not
+/// parse.
 pub fn layout(archive: &[u8]) -> Result<Vec<(Section, Range<usize>)>> {
-    let mut buf = Bytes::copy_from_slice(archive);
-    let need = |buf: &Bytes, n: usize| -> Result<()> {
-        if buf.remaining() < n {
-            Err(bad(format!("truncated: need {n} more bytes")))
-        } else {
-            Ok(())
-        }
-    };
-    let pos = |buf: &Bytes| archive.len() - buf.remaining();
-
-    need(&buf, 16)?;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    let version: u8 = match &magic {
-        m if m == MAGIC_V1 => 1,
-        m if m == MAGIC_V2 => 2,
-        _ => return Err(bad("bad magic")),
-    };
-    let mut sections = vec![(Section::Magic, 0..4)];
-    buf.advance(12); // symbol_bytes, magnitude, reduction, pad, num_symbols
-    sections.push((Section::Config, 4..16));
-
-    let start = pos(&buf);
-    need(&buf, 4)?;
-    let cb_len = buf.get_u32_le() as usize;
-    need(&buf, cb_len)?;
-    buf.advance(cb_len);
-    sections.push((Section::Codebook, start..pos(&buf)));
-
-    let start = pos(&buf);
-    need(&buf, 4)?;
-    let n_chunks = buf.get_u32_le() as usize;
-    let table = n_chunks.checked_mul(8).ok_or_else(|| bad("chunk table size overflow"))?;
-    need(&buf, table)?;
-    buf.advance(table);
-    sections.push((Section::ChunkTable, start..pos(&buf)));
-
-    let start = pos(&buf);
-    need(&buf, 4)?;
-    let n_outliers = buf.get_u32_le() as usize;
-    for _ in 0..n_outliers {
-        need(&buf, 10)?;
-        buf.advance(8);
-        let count = buf.get_u16_le() as usize;
-        let n = count.checked_mul(2).ok_or_else(|| bad("outlier size overflow"))?;
-        need(&buf, n)?;
-        buf.advance(n);
+    let hdr = walk(archive, Verify::None, ChunkTable::InPlace)?;
+    let codebook_end = hdr.chunk_table.start - 4;
+    let total_bits_end = hdr.outliers_end + 8;
+    let mut sections = vec![
+        (Section::Magic, 0..4),
+        (Section::Config, 4..16),
+        (Section::Codebook, 16..codebook_end),
+        (Section::ChunkTable, codebook_end..hdr.chunk_table.end),
+        (Section::Outliers, hdr.chunk_table.end..hdr.outliers_end),
+        (Section::TotalBits, hdr.outliers_end..total_bits_end),
+    ];
+    if hdr.crc_table.is_some() {
+        sections.push((Section::Checksums, total_bits_end..hdr.payload_start));
     }
-    sections.push((Section::Outliers, start..pos(&buf)));
-
-    let start = pos(&buf);
-    need(&buf, 8)?;
-    let total_bits = buf.get_u64_le();
-    sections.push((Section::TotalBits, start..pos(&buf)));
-
-    if version == 2 {
-        let start = pos(&buf);
-        let table = n_chunks.checked_mul(4).ok_or_else(|| bad("checksum table size overflow"))?;
-        need(&buf, table + 4)?;
-        buf.advance(table + 4);
-        sections.push((Section::Checksums, start..pos(&buf)));
-    }
-
     // The payload's extent is computed from total_bits; anything after it
     // is the optional seek-index trailer (flags bit 0, version 2 only).
-    let payload_start = pos(&buf);
-    let payload_end = payload_start
-        .saturating_add((total_bits as usize).div_ceil(8))
-        .min(archive.len())
-        .max(payload_start);
-    let flags = if version == 2 { archive[7] } else { 0 };
-    if flags & FLAG_SEEK_INDEX != 0 && payload_end < archive.len() {
-        sections.push((Section::Payload, payload_start..payload_end));
+    let payload_end = hdr.payload_start + hdr.payload_avail(archive);
+    if hdr.version == 2 && hdr.flags & FLAG_SEEK_INDEX != 0 && payload_end < archive.len() {
+        sections.push((Section::Payload, hdr.payload_start..payload_end));
         sections.push((Section::SeekIndex, payload_end..archive.len()));
     } else {
-        sections.push((Section::Payload, payload_start..archive.len()));
+        sections.push((Section::Payload, hdr.payload_start..archive.len()));
     }
     Ok(sections)
 }
 
 // ---------------------------------------------------------------------------
-// Random-access range decode
+// Container magics and the header walk
 // ---------------------------------------------------------------------------
 
 /// Chunk count from a minimal header peek (magic through the count
@@ -646,7 +436,7 @@ pub fn layout(archive: &[u8]) -> Result<Vec<(Section, Range<usize>)>> {
 /// decoder uses this to map shard-local chunk indices to frame-global
 /// ones without parsing untouched shards.
 pub fn chunk_count(archive: &[u8]) -> Result<usize> {
-    if archive.len() < 20 || (&archive[..4] != MAGIC_V1 && &archive[..4] != MAGIC_V2) {
+    if archive.len() < 20 || version(archive).is_none() {
         return Err(bad("bad magic"));
     }
     let cb_len = u32::from_le_bytes(archive[16..20].try_into().unwrap()) as usize;
@@ -656,9 +446,66 @@ pub fn chunk_count(archive: &[u8]) -> Result<usize> {
     Ok(u32::from_le_bytes(archive[at..end].try_into().unwrap()) as usize)
 }
 
-/// A parsed header with *positions* instead of materialized tables: the
-/// chunk table and CRC table stay in the archive bytes so a range decode
-/// reads only the words it needs.
+/// The container version the magic names: 1 for `RSH1`, 2 for `RSH2`.
+/// The only place the archive magics are compared.
+fn version(archive: &[u8]) -> Option<u8> {
+    match archive.get(..4)? {
+        m if m == MAGIC_V1 => Some(1),
+        m if m == MAGIC_V2 => Some(2),
+        _ => None,
+    }
+}
+
+/// The container formats this crate reads, told apart by their magic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Container {
+    /// A bare `RSH1`/`RSH2` archive.
+    Archive,
+    /// An `RSHM` multi-shard frame ([`crate::frame`]).
+    Frame,
+    /// An `RSHR` store-raw container ([`crate::tune`]).
+    Raw,
+}
+
+/// Which container `bytes` holds, from the magic alone; `None` when it is
+/// none of them.
+pub fn container(bytes: &[u8]) -> Option<Container> {
+    if crate::frame::is_frame(bytes) {
+        Some(Container::Frame)
+    } else if crate::tune::is_raw(bytes) {
+        Some(Container::Raw)
+    } else {
+        version(bytes).map(|_| Container::Archive)
+    }
+}
+
+/// The native symbol width any container records, read from its header
+/// alone: the payload is neither parsed nor checksummed.
+pub fn symbol_bytes(bytes: &[u8]) -> Result<u8> {
+    match container(bytes) {
+        Some(Container::Frame) => Ok(crate::frame::parse(bytes, Verify::None)?.symbol_bytes),
+        Some(Container::Raw) => Ok(crate::tune::raw_info(bytes)?.0),
+        Some(Container::Archive) | None => {
+            Ok(walk(bytes, Verify::None, ChunkTable::InPlace)?.symbol_bytes)
+        }
+    }
+}
+
+/// What a header walk does with the chunk bit-length table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ChunkTable {
+    /// Leave it in the archive: a range read probes only the words it
+    /// needs.
+    InPlace,
+    /// Sum it into [`HeaderView::offsets`] as it is walked and check the
+    /// sum against `total_bits` where that field is read — a full parse
+    /// needs every offset anyway.
+    Summed,
+}
+
+/// A walked header with *positions* instead of copies: the chunk table and
+/// CRC table stay in the archive bytes so a range decode reads only the
+/// words it needs.
 struct HeaderView {
     version: u8,
     symbol_bytes: u8,
@@ -669,7 +516,12 @@ struct HeaderView {
     n_chunks: usize,
     /// Byte range of `chunk_bit_lens` within the archive.
     chunk_table: Range<usize>,
+    /// `n_chunks + 1` absolute chunk bit offsets, from a
+    /// [`ChunkTable::Summed`] walk.
+    offsets: Option<Vec<u64>>,
     outliers: SparseOutliers,
+    /// Where the outlier section ends and `total_bits` begins.
+    outliers_end: usize,
     total_bits: u64,
     /// Byte range of the per-chunk CRC table (version 2).
     crc_table: Option<Range<usize>>,
@@ -700,29 +552,27 @@ impl HeaderView {
     }
 }
 
-/// Walk the header exactly like [`deserialize_with`] but without copying
-/// the payload, materializing the chunk table, or checking per-chunk
-/// payload CRCs. The header CRC is still verified (unless
-/// [`Verify::None`]) — header damage stays fatal on every path.
-fn parse_header(archive: &[u8], verify: Verify) -> Result<HeaderView> {
-    let mut buf = Bytes::copy_from_slice(archive);
-    let need = |buf: &Bytes, n: usize| -> Result<()> {
-        if buf.remaining() < n {
+/// The one reader of the RSH1/RSH2 header layout. It walks a borrowed
+/// cursor over `archive` — nothing is copied but the codebook lengths and
+/// outlier units it decodes — validating every field as it goes, and
+/// verifies the header CRC unless `verify` is [`Verify::None`]. Header
+/// damage is fatal on every path; per-chunk payload CRCs are left to
+/// [`window_payload`].
+fn walk(archive: &[u8], verify: Verify, table: ChunkTable) -> Result<HeaderView> {
+    let need = |buf: &[u8], n: usize| -> Result<()> {
+        if buf.len() < n {
             Err(bad(format!("truncated: need {n} more bytes")))
         } else {
             Ok(())
         }
     };
-    let pos = |buf: &Bytes| archive.len() - buf.remaining();
+    // Offset of the next unread byte within `archive`.
+    let pos = |buf: &[u8]| archive.len() - buf.len();
+    let mut buf = archive;
 
-    need(&buf, 16)?;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    let version: u8 = match &magic {
-        m if m == MAGIC_V1 => 1,
-        m if m == MAGIC_V2 => 2,
-        _ => return Err(bad("bad magic")),
-    };
+    need(buf, 16)?;
+    let version = version(buf).ok_or_else(|| bad("bad magic"))?;
+    buf.advance(4);
     let symbol_bytes = buf.get_u8();
     let magnitude = u32::from(buf.get_u8());
     let reduction = u32::from(buf.get_u8());
@@ -734,36 +584,55 @@ fn parse_header(archive: &[u8], verify: Verify) -> Result<HeaderView> {
         buf.get_u64_le().try_into().map_err(|_| bad("symbol count exceeds address space"))?;
     let config = MergeConfig::new(magnitude, reduction);
 
-    need(&buf, 4)?;
+    need(buf, 4)?;
     let cb_len = buf.get_u32_le() as usize;
-    need(&buf, cb_len)?;
-    let mut lengths = Vec::with_capacity(cb_len);
-    for _ in 0..cb_len {
-        lengths.push(u32::from(buf.get_u8()));
-    }
+    need(buf, cb_len)?;
+    // `need` bounds cb_len by the remaining buffer, so the allocation is
+    // capped by the archive's own size.
+    let lengths: Vec<u32> = buf[..cb_len].iter().map(|&l| u32::from(l)).collect();
+    buf.advance(cb_len);
+    // The empty input's archive stores no codebook at all; a missing
+    // codebook with symbols present is still structural damage.
     let book = if cb_len == 0 && num_symbols == 0 {
         CanonicalCodebook::empty()
     } else {
         CanonicalCodebook::from_lengths(&lengths).map_err(|e| bad(format!("codebook: {e}")))?
     };
 
-    need(&buf, 4)?;
+    need(buf, 4)?;
     let n_chunks = buf.get_u32_le() as usize;
     let table_bytes = n_chunks.checked_mul(8).ok_or_else(|| bad("chunk table size overflow"))?;
-    need(&buf, table_bytes)?;
+    need(buf, table_bytes)?;
     if n_chunks != num_symbols.div_ceil(config.chunk_symbols()) {
         return Err(bad(format!("chunk count {n_chunks} inconsistent with {num_symbols} symbols")));
     }
-    let chunk_table = pos(&buf)..pos(&buf) + table_bytes;
-    buf.advance(table_bytes);
+    let chunk_table = pos(buf)..pos(buf) + table_bytes;
+    let offsets = match table {
+        ChunkTable::InPlace => {
+            buf.advance(table_bytes);
+            None
+        }
+        ChunkTable::Summed => {
+            let mut offs = Vec::with_capacity(n_chunks + 1);
+            let mut acc = 0u64;
+            offs.push(acc);
+            for _ in 0..n_chunks {
+                acc = acc
+                    .checked_add(buf.get_u64_le())
+                    .ok_or_else(|| bad("chunk bit lengths overflow"))?;
+                offs.push(acc);
+            }
+            Some(offs)
+        }
+    };
 
-    need(&buf, 4)?;
+    need(buf, 4)?;
     let n_outliers = buf.get_u32_le() as usize;
     let unit_syms = config.unit_symbols().max(1);
     let mut outliers = SparseOutliers::new();
     let mut last_idx: Option<u64> = None;
     for _ in 0..n_outliers {
-        need(&buf, 10)?;
+        need(buf, 10)?;
         let idx = buf.get_u64_le();
         if last_idx.is_some_and(|l| idx <= l) {
             return Err(bad("outlier units out of order"));
@@ -780,22 +649,29 @@ fn parse_header(archive: &[u8], verify: Verify) -> Result<HeaderView> {
                 "outlier unit {idx} stores {count} symbols, unit holds {expected}"
             )));
         }
-        need(&buf, count.checked_mul(2).ok_or_else(|| bad("outlier size overflow"))?)?;
+        need(buf, count.checked_mul(2).ok_or_else(|| bad("outlier size overflow"))?)?;
         let syms: Vec<u16> = (0..count).map(|_| buf.get_u16_le()).collect();
         outliers.push(idx, &syms);
     }
+    let outliers_end = pos(buf);
 
-    need(&buf, 8)?;
+    need(buf, 8)?;
     let total_bits = buf.get_u64_le();
+    if let Some(&acc) = offsets.as_ref().and_then(|o| o.last()) {
+        if total_bits != acc {
+            return Err(bad(format!("payload length mismatch: header {total_bits}, chunks {acc}")));
+        }
+    }
 
+    // Version 2: chunk CRC table + header CRC, then the payload.
     let mut crc_table = None;
     if version == 2 {
         let crc_bytes =
             n_chunks.checked_mul(4).ok_or_else(|| bad("checksum table size overflow"))?;
-        need(&buf, crc_bytes + 4)?;
-        crc_table = Some(pos(&buf)..pos(&buf) + crc_bytes);
+        need(buf, crc_bytes + 4)?;
+        crc_table = Some(pos(buf)..pos(buf) + crc_bytes);
         buf.advance(crc_bytes);
-        let header_end = pos(&buf);
+        let header_end = pos(buf);
         let stored = buf.get_u32_le();
         if verify != Verify::None {
             let got = crc32(&archive[..header_end]);
@@ -819,12 +695,69 @@ fn parse_header(archive: &[u8], verify: Verify) -> Result<HeaderView> {
         book,
         n_chunks,
         chunk_table,
+        offsets,
         outliers,
+        outliers_end,
         total_bits,
         crc_table,
-        payload_start: pos(&buf),
+        payload_start: pos(buf),
     })
 }
+
+/// The payload bytes under chunks `c0..c0 + offs.len() - 1`, whose
+/// absolute bit offsets are `offs`, copied once into a buffer that starts
+/// at the first chunk's first byte (anything truncated away reads as
+/// zero), plus each chunk's damage flag. Under [`Verify::Full`] a version
+/// 2 chunk is damaged when its checksum fails or its bytes are missing;
+/// otherwise only missing bytes damage it. Strict mode errors on the first
+/// checksum failure; the caller has already rejected a strict read of
+/// missing bytes.
+fn window_payload(
+    archive: &[u8],
+    hdr: &HeaderView,
+    c0: usize,
+    offs: &[u64],
+    opts: &DecompressOptions,
+) -> Result<(Vec<u8>, Vec<bool>)> {
+    let span = offs.len() - 1;
+    let avail = hdr.payload_avail(archive);
+    let w_start = (offs[0] / 8) as usize;
+    let w_end = offs[span].div_ceil(8) as usize;
+    let mut bytes = Vec::with_capacity(w_end - w_start);
+    bytes.extend_from_slice(
+        &archive[hdr.payload_start + w_start.min(avail)..hdr.payload_start + w_end.min(avail)],
+    );
+    bytes.resize(w_end - w_start, 0);
+
+    let check_crcs = hdr.crc_table.is_some() && opts.verify == Verify::Full;
+    let mut damage = vec![false; span];
+    for (k, flag) in damage.iter_mut().enumerate() {
+        let s = chunk_byte_span(offs[k], offs[k + 1] - offs[k]);
+        let missing = s.end > avail;
+        if !check_crcs {
+            *flag = missing;
+            continue;
+        }
+        let expected = hdr.chunk_crc(archive, c0 + k);
+        let got = crc32(&bytes[s.start - w_start..s.end - w_start]);
+        if missing || got != expected {
+            if opts.mode == RecoveryMode::Strict {
+                return Err(HuffError::ChecksumMismatch {
+                    section: Section::Payload,
+                    chunk: Some((c0 + k) as u32),
+                    expected,
+                    got,
+                });
+            }
+            *flag = true;
+        }
+    }
+    Ok((bytes, damage))
+}
+
+// ---------------------------------------------------------------------------
+// Random-access range decode
+// ---------------------------------------------------------------------------
 
 /// Load and validate the seek-index trailer; `None` means "no usable
 /// index" (absent flag, truncated archive, CRC failure, or disagreement
@@ -924,7 +857,7 @@ pub fn range_window(
     if range.start > range.end {
         return Err(bad(format!("byte range {}..{} is inverted", range.start, range.end)));
     }
-    let hdr = parse_header(archive, opts.verify)?;
+    let hdr = walk(archive, opts.verify, ChunkTable::InPlace)?;
     let sb = u64::from(hdr.symbol_bytes.max(1));
     let total_bytes = hdr.num_symbols as u64 * sb;
     let lo = range.start.min(total_bytes);
@@ -978,48 +911,15 @@ pub fn range_window(
         }
     }
 
-    // Copy the covering payload bytes, zero-padding anything truncated
-    // away (strict mode requires them present).
-    let best_effort = opts.mode == RecoveryMode::BestEffort;
+    // Strict mode requires every covering byte present; best-effort
+    // zero-pads what was truncated away and flags those chunks.
     let avail = hdr.payload_avail(archive);
     let w_start = (offs[0] / 8) as usize;
     let w_end = (offs[span].div_ceil(8)) as usize;
-    if !best_effort && w_end > avail {
+    if opts.mode == RecoveryMode::Strict && w_end > avail {
         return Err(bad(format!("truncated: need {} more payload bytes", w_end - avail)));
     }
-    let src_lo = hdr.payload_start + w_start.min(avail);
-    let src_hi = hdr.payload_start + w_end.min(avail);
-    let mut bytes = archive[src_lo..src_hi].to_vec();
-    bytes.resize(w_end - w_start, 0);
-
-    // Verify only the covering chunks' CRCs.
-    let mut damage = vec![false; span];
-    if hdr.version == 2 && opts.verify == Verify::Full {
-        for k in 0..span {
-            let ci = c0 + k;
-            let s = chunk_byte_span(offs[k], offs[k + 1] - offs[k]);
-            let local = s.start - w_start..s.end - w_start;
-            let got = crc32(&bytes[local]);
-            if s.end > avail || got != hdr.chunk_crc(archive, ci) {
-                if !best_effort {
-                    return Err(HuffError::ChecksumMismatch {
-                        section: Section::Payload,
-                        chunk: Some(ci as u32),
-                        expected: hdr.chunk_crc(archive, ci),
-                        got,
-                    });
-                }
-                damage[k] = true;
-            }
-        }
-    } else if best_effort && w_end > avail {
-        for k in 0..span {
-            let s = chunk_byte_span(offs[k], offs[k + 1] - offs[k]);
-            if s.end > avail {
-                damage[k] = true;
-            }
-        }
-    }
+    let (bytes, damage) = window_payload(archive, &hdr, c0, &offs, opts)?;
 
     // Rebase chunk offsets, symbol counts, and outlier units into the
     // window's coordinate system.
@@ -1206,6 +1106,33 @@ mod tests {
         let (stream, _, _) = deserialize(&archive).unwrap();
         assert_eq!(stream.config.reduction, 2);
         assert_eq!(decompress(&archive).unwrap(), syms);
+    }
+
+    #[test]
+    fn symbol_bytes_reads_every_container_header() {
+        let syms = data(3000);
+        for sb in [1u8, 2] {
+            let mut opts = CompressOptions::new(256);
+            opts.symbol_bytes = sb;
+            let archive = compress(&syms, &opts).unwrap();
+            let frame =
+                crate::frame::assemble(std::slice::from_ref(&archive), 3000, 3000, sb).unwrap();
+            let raw = crate::tune::store_raw(&syms, sb).unwrap();
+            let (stream, book, _) = deserialize(&archive).unwrap();
+            let legacy = serialize_v1(&stream, &book, sb).unwrap();
+            for (bytes, kind) in [
+                (&archive, Container::Archive),
+                (&legacy, Container::Archive),
+                (&frame, Container::Frame),
+                (&raw, Container::Raw),
+            ] {
+                assert_eq!(container(bytes), Some(kind));
+                assert_eq!(symbol_bytes(bytes).unwrap(), sb, "{kind:?}");
+            }
+        }
+        assert_eq!(container(b"JUNK and more"), None);
+        assert!(matches!(symbol_bytes(b"JUNK and more"), Err(HuffError::BadArchive(_))));
+        assert!(symbol_bytes(b"RSH2").is_err(), "a bare magic has no header to read");
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::error::{HuffError, Result};
 use crate::integrity::{
     crc32, DecompressOptions, RangeDecode, Recovered, RecoveryMode, RecoveryReport, Section, Verify,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use rayon::prelude::*;
 use std::ops::Range;
 
@@ -144,20 +144,19 @@ pub fn assemble(
 /// header. Header damage is fatal: without the shard table nothing inside
 /// the frame can be located.
 pub fn parse(bytes: &[u8], verify: Verify) -> Result<FrameInfo> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    let need = |buf: &Bytes, n: usize| -> Result<()> {
-        if buf.remaining() < n {
+    let need = |buf: &[u8], n: usize| -> Result<()> {
+        if buf.len() < n {
             Err(bad(format!("truncated frame: need {n} more bytes")))
         } else {
             Ok(())
         }
     };
-    need(&buf, 28)?;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let mut buf = bytes;
+    need(buf, 28)?;
+    if !is_frame(buf) {
         return Err(bad("bad frame magic"));
     }
+    buf.advance(4);
     let version = buf.get_u8();
     if version != VERSION {
         return Err(bad(format!("unsupported frame version {version}")));
@@ -177,7 +176,7 @@ pub fn parse(bytes: &[u8], verify: Verify) -> Result<FrameInfo> {
         )));
     }
     let table = num_shards.checked_mul(8).ok_or_else(|| bad("shard table size overflow"))?;
-    need(&buf, table + 4)?;
+    need(buf, table + 4)?;
     let mut lens = Vec::with_capacity(num_shards);
     for _ in 0..num_shards {
         lens.push(buf.get_u64_le());

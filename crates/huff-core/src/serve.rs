@@ -64,6 +64,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::archive;
 use crate::batch::{compress_batched_with_faults, BatchOptions, DeviceFault};
 use crate::decode::DecoderKind;
 use crate::error::{HuffError, Result};
@@ -74,7 +75,6 @@ use crate::metrics::span::{SpanSink, TraceContext};
 use crate::slo;
 use crate::testing::Fault;
 use crate::tune::{self, Dispatch, Tuner};
-use crate::{archive, frame};
 use gpu_sim::KernelRecord;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -500,6 +500,12 @@ impl ServeReport {
         Value::Object(root)
     }
 }
+
+/// One decode rung of [`Engine::execute_decode`], called as
+/// `(payload, options)`. It returns the bytes its success is charged on,
+/// the response and the recovery report.
+type RungDecode<'a> =
+    dyn Fn(&[u8], &DecompressOptions) -> Result<(usize, Response, RecoveryReport)> + 'a;
 
 /// What one successful execution produced.
 struct Exec {
@@ -1011,9 +1017,22 @@ impl Engine {
     fn execute(&mut self, workload: &Workload, draw: &ChaosDraw, trace: &str) -> Result<Exec> {
         match workload {
             Workload::Compress(symbols) => self.execute_compress(symbols, draw, trace),
-            Workload::Decompress(bytes) => self.execute_decompress(bytes, draw),
+            Workload::Decompress(bytes) => {
+                self.execute_decode(bytes, draw, bytes.len(), &|payload, opts| {
+                    let rec = archive::decompress_with(payload, opts)?;
+                    Ok((rec.symbols.len() * 2, Response::Symbols(rec.symbols), rec.report))
+                })
+            }
             Workload::DecompressRange(bytes, range) => {
-                self.execute_decompress_range(bytes, range.clone(), draw)
+                // A failed rung read at most the range's window, never the
+                // whole archive — charge its fractional cost on the slice
+                // size.
+                let slice =
+                    usize::try_from(range.end.saturating_sub(range.start)).unwrap_or(usize::MAX);
+                self.execute_decode(bytes, draw, slice, &|payload, opts| {
+                    let r = archive::decode_range(payload, range.clone(), opts)?;
+                    Ok((r.bytes.len(), Response::Bytes(r.bytes), r.report))
+                })
             }
         }
     }
@@ -1102,7 +1121,17 @@ impl Engine {
         })
     }
 
-    fn execute_decompress(&mut self, bytes: &[u8], draw: &ChaosDraw) -> Result<Exec> {
+    /// The decode ladder every decompress request runs: each configured
+    /// rung in strict mode, in order, then best-effort recovery with the
+    /// most robust backend. `decode` runs one rung; a failed rung is
+    /// charged a fraction of `failed_bytes`.
+    fn execute_decode(
+        &mut self,
+        bytes: &[u8],
+        draw: &ChaosDraw,
+        failed_bytes: usize,
+        decode: &RungDecode<'_>,
+    ) -> Result<Exec> {
         // Chaos corruption works on a pooled copy; the caller's payload
         // is never touched.
         let scratch;
@@ -1122,21 +1151,21 @@ impl Engine {
         let mut outcome: Option<Exec> = None;
 
         for (rung, &kind) in self.cfg.ladder.iter().enumerate() {
+            let failed_stage = (
+                format!("decode_{}_failed", kind.name()),
+                self.model_decode_seconds(failed_bytes, kind) * FAILED_RUNG_COST_FRACTION,
+            );
             // The injected glitch models a gap-array inconsistency: the
             // LUT rung fails with the indexed error the degradation log
             // needs, and the engine falls through to the next rung.
             if draw.glitch && kind == DecoderKind::Lut {
-                let e = HuffError::GapArray {
+                stages.push(failed_stage);
+                last_err = Some(HuffError::GapArray {
                     chunk: 0,
                     subchunk: 0,
                     gap_bit: 0,
                     detail: "injected decoder glitch (chaos)".into(),
-                };
-                stages.push((
-                    format!("decode_{}_failed", kind.name()),
-                    self.model_decode_seconds(payload.len(), kind) * FAILED_RUNG_COST_FRACTION,
-                ));
-                last_err = Some(e);
+                });
                 continue;
             }
             let opts = DecompressOptions {
@@ -1145,28 +1174,25 @@ impl Engine {
                 sentinel: self.cfg.sentinel,
                 decoder: kind,
             };
-            match decompress_any(payload, &opts) {
-                Ok(rec) => {
+            match decode(payload, &opts) {
+                Ok((charged, response, report)) => {
                     stages.push((
                         format!("decode_{}", kind.name()),
-                        self.model_decode_seconds(rec.symbols.len() * 2, kind),
+                        self.model_decode_seconds(charged, kind),
                     ));
                     let degraded = (rung > 0).then(|| (kind.name().to_string(), 0));
                     outcome = Some(Exec {
                         stages: std::mem::take(&mut stages),
                         records: Vec::new(),
-                        response: Response::Symbols(rec.symbols),
-                        recovery: Some(rec.report),
+                        response,
+                        recovery: Some(report),
                         degraded,
                         quarantined: 0,
                     });
                     break;
                 }
                 Err(e) => {
-                    stages.push((
-                        format!("decode_{}_failed", kind.name()),
-                        self.model_decode_seconds(payload.len(), kind) * FAILED_RUNG_COST_FRACTION,
-                    ));
+                    stages.push(failed_stage);
                     last_err = Some(e);
                 }
             }
@@ -1183,127 +1209,18 @@ impl Engine {
                     sentinel: self.cfg.sentinel,
                     decoder: DecoderKind::Serial,
                 };
-                match decompress_any(payload, &opts) {
-                    Ok(rec) => {
+                match decode(payload, &opts) {
+                    Ok((charged, response, report)) => {
                         stages.push((
                             "best_effort".to_string(),
-                            self.model_decode_seconds(rec.symbols.len() * 2, DecoderKind::Serial),
+                            self.model_decode_seconds(charged, DecoderKind::Serial),
                         ));
-                        let lost = rec.report.symbols_lost;
+                        let lost = report.symbols_lost;
                         Exec {
                             stages,
                             records: Vec::new(),
-                            response: Response::Symbols(rec.symbols),
-                            recovery: Some(rec.report),
-                            degraded: Some(("best_effort".to_string(), lost)),
-                            quarantined: 0,
-                        }
-                    }
-                    Err(e) => {
-                        return Err(last_err.unwrap_or(e));
-                    }
-                }
-            }
-        };
-        if draw.corruption.is_some() {
-            self.pool.release(scratch);
-        }
-        Ok(exec)
-    }
-
-    fn execute_decompress_range(
-        &mut self,
-        bytes: &[u8],
-        range: std::ops::Range<u64>,
-        draw: &ChaosDraw,
-    ) -> Result<Exec> {
-        let scratch;
-        let payload: &[u8] = if let Some((frac, bit)) = draw.corruption {
-            let mut buf = self.pool.acquire(bytes);
-            let offset = ((bytes.len() as f64 * frac) as usize).min(bytes.len().saturating_sub(1));
-            crate::testing::apply(&mut buf, &Fault::BitFlip { offset, bit });
-            scratch = buf;
-            &scratch
-        } else {
-            scratch = Vec::new();
-            bytes
-        };
-        // A failed rung read at most the range's window, never the whole
-        // archive — charge its fractional cost on the slice size.
-        let slice_estimate =
-            usize::try_from(range.end.saturating_sub(range.start)).unwrap_or(usize::MAX);
-
-        let mut stages = vec![("overhead".to_string(), REQUEST_OVERHEAD_SECONDS)];
-        let mut last_err: Option<HuffError> = None;
-        let mut outcome: Option<Exec> = None;
-        for (rung, &kind) in self.cfg.ladder.iter().enumerate() {
-            if draw.glitch && kind == DecoderKind::Lut {
-                let e = HuffError::GapArray {
-                    chunk: 0,
-                    subchunk: 0,
-                    gap_bit: 0,
-                    detail: "injected decoder glitch (chaos)".into(),
-                };
-                stages.push((
-                    format!("decode_{}_failed", kind.name()),
-                    self.model_decode_seconds(slice_estimate, kind) * FAILED_RUNG_COST_FRACTION,
-                ));
-                last_err = Some(e);
-                continue;
-            }
-            let opts = DecompressOptions {
-                verify: Verify::Full,
-                mode: RecoveryMode::Strict,
-                sentinel: self.cfg.sentinel,
-                decoder: kind,
-            };
-            match archive::decode_range(payload, range.clone(), &opts) {
-                Ok(r) => {
-                    stages.push((
-                        format!("decode_{}", kind.name()),
-                        self.model_decode_seconds(r.bytes.len(), kind),
-                    ));
-                    let degraded = (rung > 0).then(|| (kind.name().to_string(), 0));
-                    outcome = Some(Exec {
-                        stages: std::mem::take(&mut stages),
-                        records: Vec::new(),
-                        response: Response::Bytes(r.bytes),
-                        recovery: Some(r.report),
-                        degraded,
-                        quarantined: 0,
-                    });
-                    break;
-                }
-                Err(e) => {
-                    stages.push((
-                        format!("decode_{}_failed", kind.name()),
-                        self.model_decode_seconds(slice_estimate, kind) * FAILED_RUNG_COST_FRACTION,
-                    ));
-                    last_err = Some(e);
-                }
-            }
-        }
-        let exec = match outcome {
-            Some(exec) => exec,
-            None => {
-                let opts = DecompressOptions {
-                    verify: Verify::Full,
-                    mode: RecoveryMode::BestEffort,
-                    sentinel: self.cfg.sentinel,
-                    decoder: DecoderKind::Serial,
-                };
-                match archive::decode_range(payload, range, &opts) {
-                    Ok(r) => {
-                        stages.push((
-                            "best_effort".to_string(),
-                            self.model_decode_seconds(r.bytes.len(), DecoderKind::Serial),
-                        ));
-                        let lost = r.report.symbols_lost;
-                        Exec {
-                            stages,
-                            records: Vec::new(),
-                            response: Response::Bytes(r.bytes),
-                            recovery: Some(r.report),
+                            response,
+                            recovery: Some(report),
                             degraded: Some(("best_effort".to_string(), lost)),
                             quarantined: 0,
                         }
@@ -1325,15 +1242,6 @@ impl Engine {
             .map(|&(_, r)| r)
             .unwrap_or(1.0e9);
         bytes as f64 / rate
-    }
-}
-
-/// Decompress an RSHM frame or a bare RSH2 archive with the same options.
-fn decompress_any(bytes: &[u8], opts: &DecompressOptions) -> Result<crate::integrity::Recovered> {
-    if frame::is_frame(bytes) {
-        frame::decompress_with(bytes, opts)
-    } else {
-        archive::decompress_with(bytes, opts)
     }
 }
 
