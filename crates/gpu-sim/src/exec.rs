@@ -71,6 +71,12 @@ impl Gpu {
         out
     }
 
+    /// Record a launch whose work the host has already done: the clock
+    /// charges exactly the launch's ledger. Returns the modeled cost.
+    pub fn charge(&self, launch: &Launch) -> CostBreakdown {
+        self.launch_timed(launch.name, launch.grid, |scope| *scope.traffic() = launch.traffic).1
+    }
+
     /// Like [`Gpu::launch`] but also returns the modeled cost breakdown.
     pub fn launch_timed<R>(
         &self,
@@ -114,6 +120,20 @@ impl Gpu {
     pub fn set_trace(&self, trace: &str) {
         self.clock.lock().set_trace(trace);
     }
+}
+
+/// A kernel launch described by what the clock records for it: name,
+/// grid and traffic ledger. Kernels build these from their measured work
+/// counters and [`Gpu::charge`] them; a cost model can build the same
+/// value from estimated counters without running anything.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Launch {
+    /// Kernel name on the device clock.
+    pub name: &'static str,
+    /// Launch configuration.
+    pub grid: GridDim,
+    /// The launch's traffic ledger.
+    pub traffic: Traffic,
 }
 
 /// Handle given to a kernel body; provides parallel regions and the traffic

@@ -8,7 +8,7 @@
 //! charges.
 
 use crate::exec::KernelScope;
-use crate::traffic::Access;
+use crate::traffic::{Access, Traffic};
 use rayon::prelude::*;
 
 /// Exclusive prefix sum of `input`, accounting traffic on `scope`.
@@ -16,15 +16,17 @@ use rayon::prelude::*;
 /// Returns a vector `out` with `out[0] = 0` and
 /// `out[i] = input[0] + ... + input[i-1]`, plus the grand total.
 pub fn exclusive_scan(scope: &mut KernelScope, input: &[u64]) -> (Vec<u64>, u64) {
-    let n = input.len();
-    if n == 0 {
-        return (Vec::new(), 0);
-    }
-    let block = 4096usize;
-    let nblocks = n.div_ceil(block);
+    scope.traffic().absorb(&exclusive_scan_traffic(input.len() as u64));
+    blocked_scan(input)
+}
 
-    // Phase 1: per-block exclusive scans, collecting block totals.
-    let mut out = vec![0u64; n];
+/// The host computation both scans share: per-block exclusive scans
+/// collecting block totals, a scan of the totals (small, host-serial; the
+/// device would use a single block or the lookback), then a uniform add
+/// of block offsets.
+fn blocked_scan(input: &[u64]) -> (Vec<u64>, u64) {
+    let block = SINGLE_PASS_BLOCK;
+    let mut out = vec![0u64; input.len()];
     let totals: Vec<u64> = out
         .par_chunks_mut(block)
         .zip(input.par_chunks(block))
@@ -37,18 +39,12 @@ pub fn exclusive_scan(scope: &mut KernelScope, input: &[u64]) -> (Vec<u64>, u64)
             acc
         })
         .collect();
-
-    // Phase 2: scan of block totals (small, host-serial; the device would
-    // use a single block).
-    let mut block_offsets = vec![0u64; nblocks];
+    let mut block_offsets = Vec::with_capacity(totals.len());
     let mut acc = 0u64;
-    for (off, &t) in block_offsets.iter_mut().zip(&totals) {
-        *off = acc;
+    for &t in &totals {
+        block_offsets.push(acc);
         acc += t;
     }
-    let grand_total = acc;
-
-    // Phase 3: uniform add of block offsets.
     out.par_chunks_mut(block).zip(block_offsets.par_iter()).for_each(|(o, &off)| {
         if off != 0 {
             for v in o.iter_mut() {
@@ -56,17 +52,24 @@ pub fn exclusive_scan(scope: &mut KernelScope, input: &[u64]) -> (Vec<u64>, u64)
             }
         }
     });
+    (out, acc)
+}
 
-    let t = scope.traffic();
-    t.read(Access::Coalesced, n as u64, 8);
-    t.write(Access::Coalesced, n as u64, 8);
-    t.read(Access::Coalesced, n as u64, 8); // uniform-add pass re-reads
-    t.write(Access::Coalesced, n as u64, 8);
-    t.ops(3 * n as u64);
+/// The ledger [`exclusive_scan`] charges for `n` elements: 3n element
+/// moves and two grid syncs (nothing for an empty input).
+pub fn exclusive_scan_traffic(n: u64) -> Traffic {
+    let mut t = Traffic::new();
+    if n == 0 {
+        return t;
+    }
+    t.read(Access::Coalesced, n, 8);
+    t.write(Access::Coalesced, n, 8);
+    t.read(Access::Coalesced, n, 8); // uniform-add pass re-reads
+    t.write(Access::Coalesced, n, 8);
+    t.ops(3 * n);
     t.grid_sync();
     t.grid_sync();
-
-    (out, grand_total)
+    t
 }
 
 /// Elements scanned per block by [`single_pass_scan`].
@@ -84,60 +87,28 @@ pub const SINGLE_PASS_BLOCK: usize = 4096;
 /// window per block, and — crucially — **zero grid syncs**, which is what
 /// lets callers run it as an epilogue inside another kernel.
 pub fn single_pass_scan(scope: &mut KernelScope, input: &[u64]) -> (Vec<u64>, u64) {
-    let n = input.len();
+    scope.traffic().absorb(&single_pass_scan_traffic(input.len() as u64));
+    blocked_scan(input)
+}
+
+/// The ledger [`single_pass_scan`] charges for `n` elements: ~2n element
+/// moves, the per-block descriptors and lookback, no grid sync (nothing
+/// for an empty input).
+pub fn single_pass_scan_traffic(n: u64) -> Traffic {
+    let mut t = Traffic::new();
     if n == 0 {
-        return (Vec::new(), 0);
+        return t;
     }
-    let block = SINGLE_PASS_BLOCK;
-    let nblocks = n.div_ceil(block);
-
-    // Per-block exclusive scans, collecting block totals (the device would
-    // do this in shared memory while the lookback resolves).
-    let mut out = vec![0u64; n];
-    let totals: Vec<u64> = out
-        .par_chunks_mut(block)
-        .zip(input.par_chunks(block))
-        .map(|(o, i)| {
-            let mut acc = 0u64;
-            for (dst, &src) in o.iter_mut().zip(i) {
-                *dst = acc;
-                acc += src;
-            }
-            acc
-        })
-        .collect();
-
-    // Lookback resolution: block k's exclusive offset is the running sum of
-    // predecessors' aggregates; on the host this is the same serial scan,
-    // but no grid-wide barrier separates it from the tile scans.
-    let mut block_offsets = vec![0u64; nblocks];
-    let mut acc = 0u64;
-    for (off, &t) in block_offsets.iter_mut().zip(&totals) {
-        *off = acc;
-        acc += t;
-    }
-    let grand_total = acc;
-
-    out.par_chunks_mut(block).zip(block_offsets.par_iter()).for_each(|(o, &off)| {
-        if off != 0 {
-            for v in o.iter_mut() {
-                *v += off;
-            }
-        }
-    });
-
-    let b = nblocks as u64;
-    let t = scope.traffic();
-    t.read(Access::Coalesced, n as u64, 8);
-    t.write(Access::Coalesced, n as u64, 8);
+    let b = n.div_ceil(SINGLE_PASS_BLOCK as u64);
+    t.read(Access::Coalesced, n, 8);
+    t.write(Access::Coalesced, n, 8);
     // Descriptor publication (aggregate + status flag, 16 B, one thread per
     // block -> strided) and the expected-two-predecessor lookback window.
     t.write(Access::Strided, b, 16);
     t.read(Access::Strided, 2 * b, 16);
-    t.shared(block as u64 * 8); // tile scan workspace
-    t.ops(2 * n as u64 + 8 * b);
-
-    (out, grand_total)
+    t.shared(SINGLE_PASS_BLOCK as u64 * 8); // tile scan workspace
+    t.ops(2 * n + 8 * b);
+    t
 }
 
 /// Inclusive prefix sum of `input` (each element includes itself).

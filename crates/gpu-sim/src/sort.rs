@@ -6,7 +6,7 @@
 //! on the host with rayon and charge a 4-pass LSD radix sort's traffic.
 
 use crate::exec::KernelScope;
-use crate::traffic::Access;
+use crate::traffic::{Access, Traffic};
 use rayon::prelude::*;
 
 /// Sort `(key, value)` pairs by ascending key, stably, accounting the
@@ -17,25 +17,28 @@ where
     V: Send,
 {
     pairs.par_sort_by(|a, b| a.0.cmp(&b.0));
-    account(scope, pairs.len(), std::mem::size_of::<(K, V)>() as u64);
+    scope.traffic().absorb(&traffic(pairs.len() as u64, std::mem::size_of::<(K, V)>() as u64));
 }
 
 /// Sort a key slice ascending.
 pub fn sort_keys<K: Ord + Send>(scope: &mut KernelScope, keys: &mut [K]) {
     keys.par_sort_unstable();
-    account(scope, keys.len(), std::mem::size_of::<K>() as u64);
+    scope.traffic().absorb(&traffic(keys.len() as u64, std::mem::size_of::<K>() as u64));
 }
 
-fn account(scope: &mut KernelScope, n: usize, elem_bytes: u64) {
+/// The ledger of a 4-pass LSD radix sort over `n` elements of
+/// `elem_bytes` bytes (what the sort primitives charge).
+pub fn traffic(n: u64, elem_bytes: u64) -> Traffic {
     const RADIX_PASSES: u64 = 4;
-    let t = scope.traffic();
-    t.read(Access::Coalesced, RADIX_PASSES * n as u64, elem_bytes);
+    let mut t = Traffic::new();
+    t.read(Access::Coalesced, RADIX_PASSES * n, elem_bytes);
     // Scatter phase of each pass is data-dependent but bucketed; charge half
     // coalesced, half strided.
-    t.write(Access::Coalesced, RADIX_PASSES * n as u64 / 2, elem_bytes);
-    t.write(Access::Strided, RADIX_PASSES * n as u64 / 2, elem_bytes);
-    t.ops(RADIX_PASSES * 2 * n as u64);
+    t.write(Access::Coalesced, RADIX_PASSES * n / 2, elem_bytes);
+    t.write(Access::Strided, RADIX_PASSES * n / 2, elem_bytes);
+    t.ops(RADIX_PASSES * 2 * n);
     t.grid_sync();
+    t
 }
 
 #[cfg(test)]

@@ -58,11 +58,13 @@ pub const DECODE_METRICS: &[MetricSpec] = &[
     MetricSpec { name: "modeled_gbps", direction: Direction::HigherIsBetter },
 ];
 
-/// Key of the `autotune` table. `dispatch` is part of the key on
-/// purpose: a tuning-policy change that flips a decision against the
-/// committed baseline shows up as a missing/unexpected key, not a silent
+/// Key of the `autotune` table. The whole decision (dispatch, `r`,
+/// shards, streams, decoder) is part of the key on purpose: a
+/// tuning-policy change that flips a decision against the committed
+/// baseline shows up as a missing/unexpected key, not a silent
 /// throughput delta.
-pub const AUTOTUNE_KEY: &[&str] = &["dataset", "device", "dispatch"];
+pub const AUTOTUNE_KEY: &[&str] =
+    &["dataset", "device", "dispatch", "reduction", "shards", "streams", "decoder"];
 /// Compared metrics of the `autotune` table.
 pub const AUTOTUNE_METRICS: &[MetricSpec] = &[
     MetricSpec { name: "fixed_gbps", direction: Direction::HigherIsBetter },

@@ -380,7 +380,7 @@ pub fn kernel_rows() -> Vec<KernelRow> {
     let n = (64 << 20) / d.symbol_bytes() as usize;
     let data = d.generate(n, 0xACCE97);
     let mut rows = Vec::new();
-    for plan in [KernelPlan::fused(), KernelPlan::unfused()] {
+    for plan in [KernelPlan::Fused, KernelPlan::Unfused] {
         let gpu = Gpu::v100();
         let opts = metrics::ProfileOptions::new(d.num_symbols())
             .symbol_bytes(d.symbol_bytes())

@@ -954,7 +954,7 @@ fn cmd_profile_compare(f: &Flags, raw: &[u8], is_archive: bool) -> CmdResult {
     }
     let (syms, default_bins) = f.symbols.decode(raw).map_err(CliError::Corrupt)?;
     let mut reports = Vec::new();
-    for plan in [KernelPlan::fused(), KernelPlan::unfused()] {
+    for plan in [KernelPlan::Fused, KernelPlan::Unfused] {
         // A fresh device per plan: the clock accumulates launches.
         let gpu = f.gpu()?;
         let opts = f.profile_options(default_bins).plan(plan);

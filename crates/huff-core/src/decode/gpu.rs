@@ -26,12 +26,12 @@
 
 use super::chunked;
 use super::lut::{self, DecodeLut, GapStats, SubchunkConfig};
-use super::DecoderKind;
+use super::{DecodeShape, DecoderKind};
 use crate::codebook::CanonicalCodebook;
 use crate::encode::ChunkedStream;
 use crate::error::Result;
 use crate::integrity::{DecompressOptions, RangeDecode, RecoveryMode, RecoveryReport};
-use gpu_sim::{Access, Gpu, GridDim, KernelScope};
+use gpu_sim::{Access, DeviceSpec, Gpu, GridDim, Traffic};
 
 /// Hard grid-size cap: chunks beyond this many blocks are handled by a
 /// block-level loop (grid-stride over chunks), which the traffic model
@@ -63,29 +63,39 @@ impl DecodeLaunch {
     }
 }
 
-fn decode_launch(stream: &ChunkedStream) -> DecodeLaunch {
-    let n_chunks = stream.num_chunks().max(1) as u64;
+fn decode_launch(chunks: u64) -> DecodeLaunch {
+    let n_chunks = chunks.max(1);
     let blocks = n_chunks.min(MAX_BLOCKS);
     DecodeLaunch { n_chunks, blocks, chunks_per_block: n_chunks.div_ceil(blocks) }
 }
 
-/// The shared traffic model of the bit-serial chunked decode kernel
-/// (strict and best-effort variants launch the same kernel shape).
-fn account_decode_traffic(scope: &mut KernelScope, stream: &ChunkedStream, table_bytes: u64) {
-    let launch = decode_launch(stream);
-    let n = stream.num_symbols as u64;
-    let payload_bytes = stream.total_bits.div_ceil(8);
-    let resident = launch.blocks.min(u64::from(scope.spec().sm_count) * 4);
-    let t = scope.traffic();
+/// The grid of a chunk-parallel decode kernel over `shape`.
+fn grid(shape: &DecodeShape) -> GridDim {
+    decode_launch(shape.chunks).grid()
+}
+
+/// Blocks resident at once: decode tables are staged once per resident
+/// block and reused from L2 after.
+fn resident_blocks(spec: &DeviceSpec, launch: &DecodeLaunch) -> u64 {
+    launch.blocks.min(u64::from(spec.sm_count) * 4)
+}
+
+/// The ledger of the bit-serial chunked decode kernel (strict and
+/// best-effort variants launch the same kernel shape). `table_bytes` is
+/// the canonical decode tables' footprint.
+pub fn chunked_ledger(spec: &DeviceSpec, shape: &DecodeShape, table_bytes: u64) -> Traffic {
+    let launch = decode_launch(shape.chunks);
+    let n = shape.symbols;
+    let mut t = Traffic::new();
     // Each chunk streams its payload once; substreams are contiguous so
     // reads coalesce across the block's threads.
-    t.read(Access::Coalesced, payload_bytes, 1);
+    t.read(Access::Coalesced, shape.total_bits.div_ceil(8), 1);
     // Chunk offsets + bit lengths.
     t.read(Access::Coalesced, 2 * launch.n_chunks, 8);
     // Decode tables staged per resident block, reused from L2 after.
-    t.read(Access::Coalesced, resident * table_bytes, 1);
+    t.read(Access::Coalesced, resident_blocks(spec, &launch) * table_bytes, 1);
     // Per-symbol on-chip table probes (~avg-code-length lookups each).
-    let avg_probes = stream.total_bits.checked_div(n).map_or(1, |p| p.clamp(1, 64));
+    let avg_probes = shape.total_bits.checked_div(n).map_or(1, |p| p.clamp(1, 64));
     t.shared(n * avg_probes * 4);
     // Symbol output, coalesced.
     t.write(Access::Coalesced, n, 2);
@@ -93,10 +103,13 @@ fn account_decode_traffic(scope: &mut KernelScope, stream: &ChunkedStream, table
     // and accumulate the code value, 3 for the First/Count boundary
     // compares), divergent across the warp (symbols end at different bit
     // positions).
-    t.ops(6 * stream.total_bits + launch.loop_ops());
+    t.ops(6 * shape.total_bits + launch.loop_ops());
     t.diverge(2.0);
+    t
 }
 
+/// Footprint of the canonical decode tables (reverse codebook plus the
+/// `First`/`Entry` arrays) a kernel stages into shared memory.
 fn decode_table_bytes(book: &CanonicalCodebook) -> u64 {
     (book.reverse().len() * 2 + book.first().len() * 8 + book.entry().len() * 4) as u64
 }
@@ -108,11 +121,10 @@ pub fn decode_on_gpu(
     stream: &ChunkedStream,
     book: &CanonicalCodebook,
 ) -> Result<(Vec<u16>, f64)> {
-    let table_bytes = decode_table_bytes(book);
-    let grid = decode_launch(stream).grid();
-    let (out, cost) = gpu.launch_timed("dec_chunked_canonical", grid, |scope| {
+    let shape = DecodeShape::of(stream);
+    let (out, cost) = gpu.launch_timed("dec_chunked_canonical", grid(&shape), |scope| {
         let out = chunked::decode(stream, book);
-        account_decode_traffic(scope, stream, table_bytes);
+        *scope.traffic() = chunked_ledger(scope.spec(), &shape, decode_table_bytes(book));
         out
     });
     Ok((out?, cost.total))
@@ -134,28 +146,28 @@ pub fn decode_best_effort_on_gpu(
     chunk_damage: &[bool],
     sentinel: u16,
 ) -> (Vec<u16>, RecoveryReport, f64) {
-    let table_bytes = decode_table_bytes(book);
-    let grid = decode_launch(stream).grid();
-    let ((symbols, report), cost) = gpu.launch_timed("dec_chunked_best_effort", grid, |scope| {
-        let out = chunked::decode_best_effort(stream, book, chunk_damage, sentinel);
-        account_decode_traffic(scope, stream, table_bytes);
-        out
-    });
+    let shape = DecodeShape::of(stream);
+    let ((symbols, report), cost) =
+        gpu.launch_timed("dec_chunked_best_effort", grid(&shape), |scope| {
+            let out = chunked::decode_best_effort(stream, book, chunk_damage, sentinel);
+            *scope.traffic() = chunked_ledger(scope.spec(), &shape, decode_table_bytes(book));
+            out
+        });
     (symbols, report, cost.total)
 }
 
-/// The serial baseline's traffic: one thread owns the whole stream, so
+/// The serial baseline's ledger: one thread owns the whole stream, so
 /// every table probe is a dependent access in a single latency chain —
 /// the Section II-C argument for why serial algorithms collapse on GPUs.
-fn account_serial_traffic(scope: &mut KernelScope, stream: &ChunkedStream, table_bytes: u64) {
-    let n = stream.num_symbols as u64;
-    let t = scope.traffic();
-    t.read(Access::Coalesced, stream.total_bits.div_ceil(8), 1);
+pub fn serial_ledger(shape: &DecodeShape, table_bytes: u64) -> Traffic {
+    let mut t = Traffic::new();
+    t.read(Access::Coalesced, shape.total_bits.div_ceil(8), 1);
     t.read(Access::Coalesced, table_bytes, 1);
     // One dependent probe chain per symbol.
-    t.sequential(n);
-    t.ops(6 * stream.total_bits);
-    t.write(Access::Coalesced, n, 2);
+    t.sequential(shape.symbols);
+    t.ops(6 * shape.total_bits);
+    t.write(Access::Coalesced, shape.symbols, 2);
+    t
 }
 
 /// Decode the whole stream on a single device thread (`dec_serial`): the
@@ -166,10 +178,9 @@ pub fn decode_serial_on_gpu(
     stream: &ChunkedStream,
     book: &CanonicalCodebook,
 ) -> Result<(Vec<u16>, f64)> {
-    let table_bytes = decode_table_bytes(book);
     let (out, cost) = gpu.launch_timed("dec_serial", GridDim::new(1, 1), |scope| {
         let out = chunked::decode_serial(stream, book);
-        account_serial_traffic(scope, stream, table_bytes);
+        *scope.traffic() = serial_ledger(&DecodeShape::of(stream), decode_table_bytes(book));
         out
     });
     Ok((out?, cost.total))
@@ -183,38 +194,37 @@ pub fn decode_serial_best_effort_on_gpu(
     chunk_damage: &[bool],
     sentinel: u16,
 ) -> (Vec<u16>, RecoveryReport, f64) {
-    let table_bytes = decode_table_bytes(book);
     let ((symbols, report), cost) =
         gpu.launch_timed("dec_serial_best_effort", GridDim::new(1, 1), |scope| {
             let out = chunked::decode_serial_best_effort(stream, book, chunk_damage, sentinel);
-            account_serial_traffic(scope, stream, table_bytes);
+            *scope.traffic() = serial_ledger(&DecodeShape::of(stream), decode_table_bytes(book));
             out
         });
     (symbols, report, cost.total)
 }
 
-/// The sync kernel's traffic: one walker per subsequence, each starting at
+/// The sync kernel's ledger: one walker per subsequence, each starting at
 /// its own bit offset (divergent strided reads), stepping codeword lengths
-/// through shared-memory LUT probes until its gap settles.
-fn account_sync_traffic(
-    scope: &mut KernelScope,
-    stream: &ChunkedStream,
+/// through shared-memory LUT probes until its gap settles. `lut_bytes` is
+/// the decode LUT's footprint ([`DecodeLut::table_bytes`]).
+pub fn sync_ledger(
+    spec: &DeviceSpec,
+    shape: &DecodeShape,
     stats: &GapStats,
     cfg: SubchunkConfig,
-    lut: &DecodeLut,
-) {
-    let launch = decode_launch(stream);
-    let resident = launch.blocks.min(u64::from(scope.spec().sm_count) * 4);
+    lut_bytes: u64,
+) -> Traffic {
+    let launch = decode_launch(shape.chunks);
     // A subsequence window spans this many 32-byte sectors.
     let sectors_per_sub = cfg.width_bits.max(1).div_ceil(256);
-    let t = scope.traffic();
+    let mut t = Traffic::new();
     // Chunk offsets + bit lengths locate the subsequences.
     t.read(Access::Coalesced, 2 * launch.n_chunks, 8);
     // Each walker lands mid-payload at its own offset: one transaction
     // per subsequence sector, not coalescible across the warp.
     t.read(Access::Strided, stats.subsequences * sectors_per_sub, 32);
     // The LUT staged into shared memory per resident block.
-    t.read(Access::Coalesced, resident * lut.table_bytes(), 1);
+    t.read(Access::Coalesced, resident_blocks(spec, &launch) * lut_bytes, 1);
     // One shared LUT probe per codeword-length step.
     t.shared(stats.sync_steps * 4);
     // The gap array, written once per subsequence.
@@ -224,33 +234,33 @@ fn account_sync_traffic(
     // in the convergence loop diverge.
     t.ops(5 * stats.sync_steps + 8 * stats.max_sync_passes * launch.blocks + launch.loop_ops());
     t.diverge(2.0);
+    t
 }
 
-/// The LUT decode kernel's traffic: everything coalesced — payload and
+/// The LUT decode kernel's ledger: everything coalesced — payload and
 /// gap array stream in, one shared-memory LUT probe per *symbol* (not per
 /// bit), symbols stream out.
-fn account_lut_traffic(
-    scope: &mut KernelScope,
-    stream: &ChunkedStream,
+pub fn lut_ledger(
+    spec: &DeviceSpec,
+    shape: &DecodeShape,
     stats: &GapStats,
-    lut: &DecodeLut,
-) {
-    let launch = decode_launch(stream);
-    let n = stream.num_symbols as u64;
-    let resident = launch.blocks.min(u64::from(scope.spec().sm_count) * 4);
-    let t = scope.traffic();
-    t.read(Access::Coalesced, stream.total_bits.div_ceil(8), 1);
+    lut_bytes: u64,
+) -> Traffic {
+    let launch = decode_launch(shape.chunks);
+    let mut t = Traffic::new();
+    t.read(Access::Coalesced, shape.total_bits.div_ceil(8), 1);
     t.read(Access::Coalesced, 2 * launch.n_chunks, 8);
     // The gap array computed by the sync kernel, read back coalesced.
     t.read(Access::Coalesced, stats.subsequences * 8, 1);
-    t.read(Access::Coalesced, resident * lut.table_bytes(), 1);
+    t.read(Access::Coalesced, resident_blocks(spec, &launch) * lut_bytes, 1);
     // One shared LUT probe per decoded symbol — the whole point.
     t.shared(stats.decoded_symbols * 4);
-    t.write(Access::Coalesced, n, 2);
+    t.write(Access::Coalesced, shape.symbols, 2);
     // ~8 ops per symbol: window refill/shift, probe, unpack, advance.
     // Mild divergence from subsequence tails and slow-path fall-backs.
     t.ops(8 * stats.decoded_symbols + launch.loop_ops());
     t.diverge(1.2);
+    t
 }
 
 /// Decode with the LUT + gap-array pipeline: a `dec_subchunk_sync` launch
@@ -263,20 +273,22 @@ pub fn decode_lut_on_gpu(
 ) -> Result<(Vec<u16>, f64)> {
     let table = DecodeLut::build(book, lut::DEFAULT_LUT_BITS);
     let cfg = SubchunkConfig::default();
-    let grid = decode_launch(stream).grid();
+    let shape = DecodeShape::of(stream);
+    let lut_bytes = table.table_bytes();
 
-    let ((result, stats), sync_cost) = gpu.launch_timed("dec_subchunk_sync", grid, |scope| {
-        // The host decode runs once here; the sync kernel is charged from
-        // the measured gap-array work counters.
-        let (result, stats) = match lut::decode_with(stream, book, &table, cfg) {
-            Ok((symbols, stats)) => (Ok(symbols), stats),
-            Err(e) => (Err(e), GapStats::estimate(stream, cfg)),
-        };
-        account_sync_traffic(scope, stream, &stats, cfg, &table);
-        (result, stats)
-    });
-    let (result, dec_cost) = gpu.launch_timed("dec_lut_gap", grid, |scope| {
-        account_lut_traffic(scope, stream, &stats, &table);
+    let ((result, stats), sync_cost) =
+        gpu.launch_timed("dec_subchunk_sync", grid(&shape), |scope| {
+            // The host decode runs once here; the sync kernel is charged
+            // from the measured gap-array work counters.
+            let (result, stats) = match lut::decode_with(stream, book, &table, cfg) {
+                Ok((symbols, stats)) => (Ok(symbols), stats),
+                Err(e) => (Err(e), GapStats::estimate(&shape)),
+            };
+            *scope.traffic() = sync_ledger(scope.spec(), &shape, &stats, cfg, lut_bytes);
+            (result, stats)
+        });
+    let (result, dec_cost) = gpu.launch_timed("dec_lut_gap", grid(&shape), |scope| {
+        *scope.traffic() = lut_ledger(scope.spec(), &shape, &stats, lut_bytes);
         result
     });
     Ok((result?, sync_cost.total + dec_cost.total))
@@ -295,16 +307,19 @@ pub fn decode_lut_best_effort_on_gpu(
 ) -> (Vec<u16>, RecoveryReport, f64) {
     let table = DecodeLut::build(book, lut::DEFAULT_LUT_BITS);
     let cfg = SubchunkConfig::default();
-    let grid = decode_launch(stream).grid();
-    let stats = GapStats::estimate(stream, cfg);
+    let shape = DecodeShape::of(stream);
+    let stats = GapStats::estimate(&shape);
+    let lut_bytes = table.table_bytes();
 
-    let ((symbols, report), sync_cost) = gpu.launch_timed("dec_subchunk_sync", grid, |scope| {
-        let out = lut::decode_best_effort_with(stream, book, &table, cfg, chunk_damage, sentinel);
-        account_sync_traffic(scope, stream, &stats, cfg, &table);
-        out
-    });
-    let (_, dec_cost) = gpu.launch_timed("dec_lut_gap_best_effort", grid, |scope| {
-        account_lut_traffic(scope, stream, &stats, &table);
+    let ((symbols, report), sync_cost) =
+        gpu.launch_timed("dec_subchunk_sync", grid(&shape), |scope| {
+            let out =
+                lut::decode_best_effort_with(stream, book, &table, cfg, chunk_damage, sentinel);
+            *scope.traffic() = sync_ledger(scope.spec(), &shape, &stats, cfg, lut_bytes);
+            out
+        });
+    let (_, dec_cost) = gpu.launch_timed("dec_lut_gap_best_effort", grid(&shape), |scope| {
+        *scope.traffic() = lut_ledger(scope.spec(), &shape, &stats, lut_bytes);
     });
     (symbols, report, sync_cost.total + dec_cost.total)
 }
@@ -629,19 +644,10 @@ mod tests {
 
     #[test]
     fn decode_launch_clamps_and_loops() {
-        let mk = |n_chunks: usize| ChunkedStream {
-            config: MergeConfig::new(2, 1),
-            chunk_bit_lens: vec![0; n_chunks],
-            chunk_bit_offsets: vec![0; n_chunks],
-            total_bits: 0,
-            bytes: Vec::new(),
-            num_symbols: 0,
-            outliers: SparseOutliers::new(),
-        };
-        let small = decode_launch(&mk(1000));
+        let small = decode_launch(1000);
         assert_eq!((small.blocks, small.chunks_per_block), (1000, 1));
         assert_eq!(small.loop_ops(), 0);
-        let big = decode_launch(&mk((1 << 20) + 37));
+        let big = decode_launch((1 << 20) + 37);
         assert_eq!(big.blocks, 1 << 20);
         assert_eq!(big.chunks_per_block, 2);
         assert_eq!(big.loop_ops(), 8 * 37);

@@ -29,6 +29,7 @@
 //! is enforced by unit tests here and the cross-decoder property suite.
 
 use super::chunked;
+use super::DecodeShape;
 use crate::bitstream::BitReader;
 use crate::codebook::CanonicalCodebook;
 use crate::encode::ChunkedStream;
@@ -168,18 +169,16 @@ impl GapStats {
         self.decoded_symbols += other.decoded_symbols;
     }
 
-    /// Analytic estimate for a stream when measured counters are not
-    /// available (the best-effort kernel, where damaged chunks skip
-    /// decoding but the model keeps the undamaged-shape cost — same
-    /// convention as the bit-serial kernel).
-    pub fn estimate(stream: &ChunkedStream, cfg: SubchunkConfig) -> GapStats {
-        let w = cfg.width_bits.max(1);
-        let n = stream.num_symbols as u64;
+    /// Analytic estimate for a stream shape when measured counters are
+    /// not available: the best-effort kernel, where damaged chunks skip
+    /// decoding but the model keeps the undamaged-shape cost (same
+    /// convention as the bit-serial kernel), and the autotuner.
+    pub fn estimate(shape: &DecodeShape) -> GapStats {
         GapStats {
-            subsequences: stream.chunk_bit_lens.iter().map(|&l| l.div_ceil(w)).sum(),
+            subsequences: shape.subsequences,
             max_sync_passes: 2,
-            sync_steps: n,
-            decoded_symbols: n,
+            sync_steps: shape.symbols,
+            decoded_symbols: shape.symbols,
         }
     }
 }
@@ -660,7 +659,7 @@ mod tests {
         assert!(stats.decoded_symbols <= syms.len() as u64);
         assert!(stats.sync_steps >= stats.decoded_symbols);
         assert!(stats.subsequences >= stream.num_chunks() as u64);
-        let est = GapStats::estimate(&stream, SubchunkConfig::default());
+        let est = GapStats::estimate(&DecodeShape::of(&stream));
         assert_eq!(est.subsequences, stats.subsequences);
     }
 }

@@ -26,6 +26,39 @@ use crate::encode::ChunkedStream;
 use crate::error::{HuffError, Result};
 use crate::integrity::RecoveryReport;
 
+/// The geometry the decode kernels' ledgers are priced on
+/// ([`gpu::chunked_ledger`], [`gpu::sync_ledger`], [`gpu::lut_ledger`]):
+/// taken from a real stream by [`DecodeShape::of`], or estimated from a
+/// workload signature by the autotuner.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DecodeShape {
+    /// Symbols the stream decodes to.
+    pub symbols: u64,
+    /// Dense payload bits.
+    pub total_bits: u64,
+    /// Chunks in the stream.
+    pub chunks: u64,
+    /// Gap-array subsequences at the default subchunk width
+    /// ([`lut::DEFAULT_SUBCHUNK_BITS`]), summed per chunk.
+    pub subsequences: u64,
+}
+
+impl DecodeShape {
+    /// The shape of `stream`.
+    pub fn of(stream: &ChunkedStream) -> Self {
+        DecodeShape {
+            symbols: stream.num_symbols as u64,
+            total_bits: stream.total_bits,
+            chunks: stream.num_chunks() as u64,
+            subsequences: stream
+                .chunk_bit_lens
+                .iter()
+                .map(|&l| l.div_ceil(lut::DEFAULT_SUBCHUNK_BITS))
+                .sum(),
+        }
+    }
+}
+
 /// Which decoder backend to run. Every backend produces bit-identical
 /// output; they differ in parallelism and modeled device cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

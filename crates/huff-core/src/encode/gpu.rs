@@ -12,7 +12,7 @@
 //! * `enc_breaking_backtrace` — the reduction that locates breaking units
 //!   plus the dense-to-sparse conversion (~300 us on the V100, Section V-B2).
 //!
-//! Under the default [`KernelPlan::fused`] the decomposition is tighter
+//! Under the default [`KernelPlan::Fused`] the decomposition is tighter
 //! (DESIGN.md § "Kernel fusion"): the `enc_blockwise_len` prefix sum runs
 //! as a decoupled-lookback epilogue *inside* `enc_shuffle_merge`
 //! ([`gpu_sim::prefix::single_pass_scan`] — no launch, no grid syncs), and
@@ -31,7 +31,7 @@ use super::{BreakingStrategy, ChunkedStream, MergeConfig};
 use crate::codebook::CanonicalCodebook;
 use crate::error::Result;
 use crate::plan::KernelPlan;
-use gpu_sim::{Access, Gpu, GridDim};
+use gpu_sim::{Access, DeviceSpec, Gpu, GridDim, Launch, Traffic};
 use rayon::prelude::*;
 
 /// Hardware grid-dimension ceiling shared by the encode kernels (same
@@ -119,133 +119,176 @@ pub fn encode_on_gpu_with_plan(
     strategy: BreakingStrategy,
     plan: KernelPlan,
 ) -> Result<(ChunkedStream, GpuEncodeTimes)> {
-    let chunk_syms = config.chunk_symbols();
-    let n = symbols.len() as u64;
-    let n_chunks = symbols.len().div_ceil(chunk_syms).max(1) as u64;
-    let units = n.div_ceil(config.unit_symbols() as u64);
-    let book_bytes = book.coded_symbols() as u64 * 8;
+    // Functional work: one block per chunk reduces, shuffles and flags
+    // breaking units; the kernels are then charged from its counters.
+    let chunks: Vec<EncodedChunk<'_>> = symbols
+        .par_chunks(config.chunk_symbols().max(1))
+        .map(|c| {
+            let first = encode_chunk::<u32>(c, book, config);
+            match strategy {
+                BreakingStrategy::SparseSidecar => first,
+                BreakingStrategy::WidenWord if first.breaking.is_empty() => first,
+                BreakingStrategy::WidenWord => encode_chunk::<u64>(c, book, config),
+            }
+        })
+        .collect();
+    let counters = EncodeCounters {
+        words_moved: chunks.iter().map(|c| c.shuffle.words_moved).sum(),
+        shuffle_iters: chunks.iter().map(|c| u64::from(c.shuffle.iterations)).max().unwrap_or(0),
+        total_bits: chunks.iter().map(|c| c.bit_len).sum(),
+        breaking_units: chunks.iter().map(|c| c.breaking.len() as u64).sum(),
+        breaking_symbols: chunks
+            .iter()
+            .flat_map(|c| c.breaking.iter().map(|(_, s)| s.len() as u64))
+            .sum(),
+    };
+    let shape = EncodeShape {
+        symbols: symbols.len() as u64,
+        symbol_bytes,
+        coded_symbols: book.coded_symbols() as u64,
+        config,
+    };
+    let mut times = GpuEncodeTimes::default();
+    for launch in launches(gpu.spec(), &shape, &counters, plan) {
+        let secs = gpu.charge(&launch).total;
+        *match launch.name {
+            "enc_reduce_merge" => &mut times.reduce,
+            "enc_shuffle_merge" => &mut times.shuffle,
+            "enc_blockwise_len" => &mut times.blockwise_len,
+            "enc_coalescing_copy" => &mut times.coalesce,
+            _ => &mut times.breaking,
+        } = secs;
+        times.total += secs;
+    }
+    let stream = assemble(symbols.len(), &chunks, config)?;
+    Ok((stream, times))
+}
+
+/// What the encode kernels are launched over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EncodeShape {
+    /// Input symbols.
+    pub symbols: u64,
+    /// Native symbol width, bytes.
+    pub symbol_bytes: u64,
+    /// Codewords in the codebook staged into shared memory.
+    pub coded_symbols: u64,
+    /// Chunk magnitude and reduction factor.
+    pub config: MergeConfig,
+}
+
+/// Work counters of one reduce-shuffle encode, summed over chunks.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EncodeCounters {
+    /// Words moved by all shuffle iterations.
+    pub words_moved: u64,
+    /// Shuffle iterations of the deepest chunk (one grid sync each).
+    pub shuffle_iters: u64,
+    /// Dense payload bits.
+    pub total_bits: u64,
+    /// Breaking units sent to the sparse sidecar.
+    pub breaking_units: u64,
+    /// Raw symbols of those units.
+    pub breaking_symbols: u64,
+}
+
+/// The encode stage's launches under `plan`: `enc_reduce_merge`,
+/// `enc_shuffle_merge` (with the chunk-length scan as its epilogue when
+/// fused), `enc_blockwise_len` (unfused only), `enc_coalescing_copy` and
+/// `enc_breaking_backtrace`.
+pub fn launches(
+    spec: &DeviceSpec,
+    shape: &EncodeShape,
+    c: &EncodeCounters,
+    plan: KernelPlan,
+) -> Vec<Launch> {
+    let n = shape.symbols;
+    let chunks = n.div_ceil(shape.config.chunk_symbols() as u64);
+    let units = n.div_ceil(shape.config.unit_symbols() as u64);
+    let launch = EncodeLaunch::new(chunks);
+    let grid = launch.grid();
     // Each resident block stages the codebook in shared memory once; with
     // many more chunks than resident blocks the reloads hit L2, so the
     // DRAM cost is bounded by the resident-block count.
-    let book_loads = n_chunks.min(u64::from(gpu.spec().sm_count) * 4);
+    let book_loads = launch.n_chunks.min(u64::from(spec.sm_count) * 4);
+    let mut out = Vec::with_capacity(5);
 
-    // --- Kernel 1: REDUCE-merge (fused functional work happens here) ----
-    let launch = EncodeLaunch::new(n_chunks);
-    let grid = launch.grid();
-    let (chunks, reduce_cost) = gpu.launch_timed("enc_reduce_merge", grid, |scope| {
-        let chunks: Vec<EncodedChunk<'_>> = symbols
-            .par_chunks(chunk_syms.max(1))
-            .map(|c| {
-                let first = encode_chunk::<u32>(c, book, config);
-                match strategy {
-                    BreakingStrategy::SparseSidecar => first,
-                    BreakingStrategy::WidenWord if first.breaking.is_empty() => first,
-                    BreakingStrategy::WidenWord => encode_chunk::<u64>(c, book, config),
-                }
-            })
-            .collect();
-        let t = scope.traffic();
-        t.read(Access::Coalesced, n, symbol_bytes); // input symbols
-        t.read(Access::Coalesced, book_loads * book_bytes, 1); // codebook staging
-        t.shared(n * 8); // per-symbol shared-memory codebook lookups
-        t.write(Access::Coalesced, units, 4); // merged unit words
-        t.write(Access::Coalesced, units, 1); // per-unit bit lengths (u8)
-        t.ops(4 * n + launch.loop_ops());
-        chunks
-    });
+    // REDUCE-merge: codebook lookup and the 2^r-way merge per unit.
+    let mut reduce = Traffic::new();
+    reduce.read(Access::Coalesced, n, shape.symbol_bytes); // input symbols
+    reduce.read(Access::Coalesced, book_loads * shape.coded_symbols * 8, 1); // codebook staging
+    reduce.shared(n * 8); // per-symbol shared-memory codebook lookups
+    reduce.write(Access::Coalesced, units, 4); // merged unit words
+    reduce.write(Access::Coalesced, units, 1); // per-unit bit lengths (u8)
+    reduce.ops(4 * n + launch.loop_ops());
+    out.push(Launch { name: "enc_reduce_merge", grid, traffic: reduce });
 
-    // --- Kernel 2: SHUFFLE-merge (+ fused length epilogue) ---------------
-    let chunk_bits: Vec<u64> = chunks.iter().map(|c| c.bit_len).collect();
-    let words_moved: u64 = chunks.iter().map(|c| c.shuffle.words_moved).sum();
-    let iters = chunks.iter().map(|c| c.shuffle.iterations).max().unwrap_or(0);
-    let (_, shuffle_cost) = gpu.launch_timed("enc_shuffle_merge", grid, |scope| {
-        {
-            let t = scope.traffic();
-            t.read(Access::Coalesced, words_moved, 4);
-            t.write(Access::Coalesced, words_moved, 4);
-            // Group bit-length bookkeeping: each window reads its two group
-            // lengths and writes the merged one; the total window count across
-            // all iterations is one per unit.
-            t.read(Access::Coalesced, 2 * units, 4);
-            t.write(Access::Coalesced, units, 4);
-            t.ops(6 * words_moved + launch.loop_ops());
-            t.diverge(2.0); // Section IV-C-d: shuffle diverges at a factor of 2
-            for _ in 0..iters {
-                t.grid_sync();
-            }
-        }
-        if plan.fused_len {
-            // Epilogue: blocks already hold their chunks' final bit lengths
-            // in shared memory, so the device-wide offsets resolve in a
-            // decoupled-lookback single pass — no extra launch, no barrier.
-            let (_offsets, _total) = gpu_sim::prefix::single_pass_scan(scope, &chunk_bits);
-        }
-    });
-
-    // --- Kernel 3: blockwise code lengths + prefix sum (unfused only) ----
-    let len_cost = if plan.fused_len {
-        gpu_sim::CostBreakdown::default()
+    // SHUFFLE-merge (+ fused length epilogue).
+    let mut shuffle = Traffic::new();
+    shuffle.read(Access::Coalesced, c.words_moved, 4);
+    shuffle.write(Access::Coalesced, c.words_moved, 4);
+    // Group bit-length bookkeeping: each window reads its two group
+    // lengths and writes the merged one; the total window count across
+    // all iterations is one per unit.
+    shuffle.read(Access::Coalesced, 2 * units, 4);
+    shuffle.write(Access::Coalesced, units, 4);
+    shuffle.ops(6 * c.words_moved + launch.loop_ops());
+    shuffle.diverge(2.0); // Section IV-C-d: shuffle diverges at a factor of 2
+    for _ in 0..c.shuffle_iters {
+        shuffle.grid_sync();
+    }
+    if plan == KernelPlan::Fused {
+        // Epilogue: blocks already hold their chunks' final bit lengths
+        // in shared memory, so the device-wide offsets resolve in a
+        // decoupled-lookback single pass — no extra launch, no barrier.
+        shuffle.absorb(&gpu_sim::prefix::single_pass_scan_traffic(chunks));
+        out.push(Launch { name: "enc_shuffle_merge", grid, traffic: shuffle });
     } else {
-        let (_, cost) =
-            gpu.launch_timed("enc_blockwise_len", GridDim::cover(chunk_bits.len(), 256), |scope| {
-                let (_offsets, _total) = gpu_sim::prefix::exclusive_scan(scope, &chunk_bits);
-            });
-        cost
-    };
-
-    // --- Kernel 4: coalescing copy --------------------------------------
-    let total_bits: u64 = chunk_bits.iter().sum();
-    let payload_bytes = total_bits.div_ceil(8);
-    let (_, copy_cost) = gpu.launch_timed("enc_coalescing_copy", grid, |scope| {
-        let t = scope.traffic();
-        t.read(Access::Coalesced, payload_bytes, 1);
-        t.write(Access::Coalesced, payload_bytes, 1);
-        t.ops(payload_bytes.div_ceil(4) + launch.loop_ops());
-    });
-
-    // --- Kernel 5: breaking backtrace + dense-to-sparse ------------------
-    let n_breaking: u64 = chunks.iter().map(|c| c.breaking.len() as u64).sum();
-    let breaking_syms: u64 =
-        chunks.iter().flat_map(|c| c.breaking.iter().map(|(_, s)| s.len() as u64)).sum();
-    let (_, breaking_cost) =
-        gpu.launch_timed("enc_breaking_backtrace", GridDim::cover(units as usize, 256), |scope| {
-            let t = scope.traffic();
-            t.read(Access::Coalesced, units, 1); // one-time read of unit lens (u8)
-            t.read(Access::Coalesced, breaking_syms, 2); // raw symbols re-read
-            if plan.compacted_backtrace {
-                // Warp-aggregated compaction: a ballot finds each warp's
-                // breaking units, a block-local scan packs them, one atomic
-                // per contributing block reserves a segment of the sidecar,
-                // and the segment lands as a single coalesced write. The
-                // device-wide scan (and its barrier) disappears.
-                let seg_blocks = units.div_ceil(256).min(n_breaking);
-                t.shared(units * 4); // ballot + block-local scan workspace
-                t.global_atomic(seg_blocks, seg_blocks / 64);
-                t.write(Access::Coalesced, n_breaking, 8); // sparse indices
-                t.write(Access::Coalesced, breaking_syms, 2); // raw symbols
-                t.ops(units + 4 * n_breaking);
-            } else {
-                t.write(Access::Random, n_breaking, 8); // sparse indices
-                t.write(Access::Random, breaking_syms, 2); // raw symbols
-                t.ops(units);
-                t.grid_sync();
-            }
+        out.push(Launch { name: "enc_shuffle_merge", grid, traffic: shuffle });
+        // Blockwise code lengths + device-wide prefix sum.
+        out.push(Launch {
+            name: "enc_blockwise_len",
+            grid: GridDim::cover(chunks as usize, 256),
+            traffic: gpu_sim::prefix::exclusive_scan_traffic(chunks),
         });
+    }
 
-    let stream = assemble(symbols.len(), &chunks, config)?;
-    let times = GpuEncodeTimes {
-        reduce: reduce_cost.total,
-        shuffle: shuffle_cost.total,
-        blockwise_len: len_cost.total,
-        coalesce: copy_cost.total,
-        breaking: breaking_cost.total,
-        total: reduce_cost.total
-            + shuffle_cost.total
-            + len_cost.total
-            + copy_cost.total
-            + breaking_cost.total,
-    };
-    Ok((stream, times))
+    // Coalescing copy into the dense stream.
+    let payload_bytes = c.total_bits.div_ceil(8);
+    let mut copy = Traffic::new();
+    copy.read(Access::Coalesced, payload_bytes, 1);
+    copy.write(Access::Coalesced, payload_bytes, 1);
+    copy.ops(payload_bytes.div_ceil(4) + launch.loop_ops());
+    out.push(Launch { name: "enc_coalescing_copy", grid, traffic: copy });
+
+    // Breaking backtrace + dense-to-sparse.
+    let mut side = Traffic::new();
+    side.read(Access::Coalesced, units, 1); // one-time read of unit lens (u8)
+    side.read(Access::Coalesced, c.breaking_symbols, 2); // raw symbols re-read
+    if plan == KernelPlan::Fused {
+        // Warp-aggregated compaction: a ballot finds each warp's breaking
+        // units, a block-local scan packs them, one atomic per
+        // contributing block reserves a segment of the sidecar, and the
+        // segment lands as a single coalesced write. The device-wide scan
+        // (and its barrier) disappears.
+        let seg_blocks = units.div_ceil(256).min(c.breaking_units);
+        side.shared(units * 4); // ballot + block-local scan workspace
+        side.global_atomic(seg_blocks, seg_blocks / 64);
+        side.write(Access::Coalesced, c.breaking_units, 8); // sparse indices
+        side.write(Access::Coalesced, c.breaking_symbols, 2); // raw symbols
+        side.ops(units + 4 * c.breaking_units);
+    } else {
+        side.write(Access::Random, c.breaking_units, 8); // sparse indices
+        side.write(Access::Random, c.breaking_symbols, 2); // raw symbols
+        side.ops(units);
+        side.grid_sync();
+    }
+    out.push(Launch {
+        name: "enc_breaking_backtrace",
+        grid: GridDim::cover(units as usize, 256),
+        traffic: side,
+    });
+    out
 }
 
 /// The cuSZ coarse baseline on the device: thread-per-chunk serial appends.
@@ -392,7 +435,7 @@ mod tests {
             &book,
             MergeConfig::new(8, 2),
             BreakingStrategy::SparseSidecar,
-            KernelPlan::unfused(),
+            KernelPlan::Unfused,
         )
         .unwrap();
         assert_eq!(gpu.clock().launches(), 5);
@@ -407,10 +450,10 @@ mod tests {
             let g1 = Gpu::new(DeviceSpec::test_part());
             let g2 = Gpu::new(DeviceSpec::test_part());
             let (fused, _) =
-                encode_on_gpu_with_plan(&g1, &syms, 2, &book, cfg, strategy, KernelPlan::fused())
+                encode_on_gpu_with_plan(&g1, &syms, 2, &book, cfg, strategy, KernelPlan::Fused)
                     .unwrap();
             let (unfused, _) =
-                encode_on_gpu_with_plan(&g2, &syms, 2, &book, cfg, strategy, KernelPlan::unfused())
+                encode_on_gpu_with_plan(&g2, &syms, 2, &book, cfg, strategy, KernelPlan::Unfused)
                     .unwrap();
             assert_eq!(fused.bytes, unfused.bytes);
             assert_eq!(fused.total_bits, unfused.total_bits);
@@ -429,7 +472,7 @@ mod tests {
             &book,
             cfg,
             BreakingStrategy::SparseSidecar,
-            KernelPlan::fused(),
+            KernelPlan::Fused,
         )
         .unwrap();
         let g2 = Gpu::v100();
@@ -440,7 +483,7 @@ mod tests {
             &book,
             cfg,
             BreakingStrategy::SparseSidecar,
-            KernelPlan::unfused(),
+            KernelPlan::Unfused,
         )
         .unwrap();
         assert!(fused.total < unfused.total, "fused {} >= unfused {}", fused.total, unfused.total);

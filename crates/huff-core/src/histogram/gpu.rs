@@ -5,7 +5,7 @@
 //! updates spread over many copies; per-block copies are then combined
 //! into the single global histogram.
 //!
-//! Two launch shapes, selected by [`KernelPlan::fused_histogram`]:
+//! Two launch shapes, selected by the [`KernelPlan`]:
 //!
 //! * **Fused (default)** — `hist_fused_reduction`: full privatization in a
 //!   single kernel. A smaller grid (each block strides a larger input
@@ -20,11 +20,14 @@
 //!   tree-reduces the partials. Retained verbatim for comparison, and used
 //!   automatically whenever the histogram does not fit a block's shared
 //!   memory (large-bin codebooks cannot be privatized).
+//!
+//! [`launches`] is the one ledger of both shapes: the kernels charge it
+//! with the skew they measured, the autotuner with an estimated skew.
 
 use super::Histogram;
 use crate::plan::KernelPlan;
 use gpu_sim::atomic::{expected_conflicts, histogram_skew};
-use gpu_sim::{Access, Gpu, GridDim};
+use gpu_sim::{Access, DeviceSpec, Gpu, GridDim, Launch, Traffic};
 use rayon::prelude::*;
 
 /// Number of threads per block for the histogram kernels.
@@ -48,140 +51,99 @@ pub fn histogram_with_plan(
     symbol_bytes: u64,
     plan: KernelPlan,
 ) -> Histogram {
-    let hist_bytes = num_symbols * std::mem::size_of::<u32>();
+    // One partial histogram per block partition; the device reduces them
+    // in shared memory (fused) or through the gridwise kernel.
+    let blocks = read_blocks(gpu.spec(), num_symbols, plan);
+    let chunk = data.len().div_ceil(blocks as usize).max(1);
+    let partials: Vec<Histogram> =
+        data.par_chunks(chunk).map(|part| super::serial::histogram(part, num_symbols)).collect();
+    let out: Histogram =
+        (0..num_symbols).into_par_iter().map(|bin| partials.iter().map(|p| p[bin]).sum()).collect();
+    let skew = histogram_skew(&out);
+    for launch in launches(gpu.spec(), data.len() as u64, num_symbols, symbol_bytes, skew, plan) {
+        gpu.charge(&launch);
+    }
+    out
+}
+
+/// Full privatization needs at least one complete replica in shared
+/// memory; past that the fused commit has nothing to commit from and the
+/// two-kernel global-memory path is the only option.
+fn runs_fused(spec: &DeviceSpec, num_symbols: usize, plan: KernelPlan) -> bool {
+    plan == KernelPlan::Fused && num_symbols * 4 <= spec.shared_mem_per_block
+}
+
+/// Blocks of the read phase. The fused kernel runs half the unfused grid:
+/// each replica covers twice the input, so the commit phase (one atomic
+/// per bin per block) stays cheap relative to the read phase it
+/// piggybacks on. The unfused kernel runs one block per SM-resident slot.
+fn read_blocks(spec: &DeviceSpec, num_symbols: usize, plan: KernelPlan) -> u32 {
+    if runs_fused(spec, num_symbols, plan) {
+        (spec.sm_count * 4).min(512)
+    } else {
+        (spec.sm_count * 8).min(1024)
+    }
+}
+
+/// The histogram stage's launches for `n` symbols over `num_symbols` bins
+/// whose hottest bin holds a `skew` share of the input
+/// ([`histogram_skew`]): one `hist_fused_reduction`, or the
+/// `hist_blockwise_reduction` + `hist_gridwise_reduction` pair.
+pub fn launches(
+    spec: &DeviceSpec,
+    n: u64,
+    num_symbols: usize,
+    symbol_bytes: u64,
+    skew: f64,
+    plan: KernelPlan,
+) -> Vec<Launch> {
+    let bins = num_symbols as u64;
+    let blocks = read_blocks(spec, num_symbols, plan);
+    // Non-empty block partitions, i.e. the partial histograms reduced.
+    let partials = n.div_ceil(n.div_ceil(u64::from(blocks)).max(1));
     // Replication degree: how many shared-memory copies of the histogram
     // fit per block (at least 1; the paper's kernel degrades to a single
     // copy for large codebooks such as 8192 bins).
-    let copies = (gpu.spec().shared_mem_per_block / hist_bytes.max(1)).clamp(1, 8);
+    let copies = (spec.shared_mem_per_block as u64 / (bins * 4).max(1)).clamp(1, 8);
 
-    // Full privatization needs at least one complete replica in shared
-    // memory; past that the fused commit has nothing to commit from and
-    // the two-kernel global-memory path is the only option.
-    if plan.fused_histogram && hist_bytes <= gpu.spec().shared_mem_per_block {
-        fused(gpu, data, num_symbols, symbol_bytes, copies)
-    } else {
-        two_kernel(gpu, data, num_symbols, symbol_bytes, copies)
-    }
-}
-
-/// Estimate the skew of the data's symbol distribution from the combined
-/// partials (the data itself), for the shared-atomic conflict model.
-fn combined_skew(partials: &[Histogram], num_symbols: usize) -> f64 {
-    let mut combined = vec![0u64; num_symbols];
-    for p in partials {
-        for (c, v) in combined.iter_mut().zip(p) {
-            *c += v;
-        }
-    }
-    histogram_skew(&combined)
-}
-
-/// Charge the traffic shared by both launch shapes: the coalesced input
-/// read, the replicated shared-memory atomics, and the replica storage.
-fn charge_read_phase(
-    t: &mut gpu_sim::Traffic,
-    n: u64,
-    num_symbols: usize,
-    copies: usize,
-    skew: f64,
-    warp_size: u32,
-    symbol_bytes: u64,
-) {
-    t.read(Access::Coalesced, n, symbol_bytes);
+    // The read phase both shapes share: the coalesced input read, the
+    // replicated shared-memory atomics, and the replica storage.
+    let mut read = Traffic::new();
+    read.read(Access::Coalesced, n, symbol_bytes);
     // Conflicts serialize at warp granularity: the hardware resolves a
     // warp's same-address atomics as one multi-update transaction, so
     // the serialization cost is per warp-instruction, not per lane.
-    let conflicts = expected_conflicts(n, (num_symbols * copies) as u64, skew / copies as f64)
-        / u64::from(warp_size);
-    t.shared_atomic(n, conflicts);
-    t.shared((copies as u64) * num_symbols as u64 * 4);
-    t.ops(2 * n);
-}
-
-/// Single-kernel full-privatization histogram (Gómez-Luna commit style).
-fn fused(
-    gpu: &Gpu,
-    data: &[u16],
-    num_symbols: usize,
-    symbol_bytes: u64,
-    copies: usize,
-) -> Histogram {
-    // Half the unfused grid: each replica covers twice the input, so the
-    // commit phase (one atomic per bin per block) stays cheap relative to
-    // the read phase it piggybacks on.
-    let blocks = (gpu.spec().sm_count * 4).min(512);
+    let conflicts =
+        expected_conflicts(n, bins * copies, skew / copies as f64) / u64::from(spec.warp_size);
+    read.shared_atomic(n, conflicts);
+    read.shared(copies * bins * 4);
+    read.ops(2 * n);
     let grid = GridDim::new(blocks, BLOCK_THREADS);
 
-    gpu.launch("hist_fused_reduction", grid, |scope| {
-        let chunk = data.len().div_ceil(blocks as usize).max(1);
-        let partials: Vec<Histogram> = data
-            .par_chunks(chunk)
-            .map(|part| super::serial::histogram(part, num_symbols))
-            .collect();
-        let committing = partials.len() as u64;
-
-        let out = (0..num_symbols)
-            .into_par_iter()
-            .map(|bin| partials.iter().map(|p| p[bin]).sum())
-            .collect();
-
-        let n = data.len() as u64;
-        let skew = combined_skew(&partials, num_symbols);
-        let t = scope.traffic();
-        charge_read_phase(t, n, num_symbols, copies, skew, gpu.spec().warp_size, symbol_bytes);
+    if runs_fused(spec, num_symbols, plan) {
         // Commit: each block adds its reduced replica into the global
         // histogram bin-by-bin. Lanes hit consecutive bins (distinct
         // addresses within a warp), so the L2 folds the adds into
         // sector-granular RMW traffic; the serialization chain is the
         // per-bin collision across blocks, at most one per committer.
-        t.global_atomic_coalesced(committing * num_symbols as u64, 4, committing);
-        t.ops(committing * num_symbols as u64);
-        out
-    })
-}
-
-/// The paper's two-kernel blockwise + gridwise reduction pair.
-fn two_kernel(
-    gpu: &Gpu,
-    data: &[u16],
-    num_symbols: usize,
-    symbol_bytes: u64,
-    copies: usize,
-) -> Histogram {
-    // One block per SM-resident slot; each block strides the input. The
-    // per-block partition is data.len()/blocks.
-    let blocks = (gpu.spec().sm_count * 8).min(1024);
-    let grid = GridDim::new(blocks, BLOCK_THREADS);
-
-    let partials: Vec<Histogram> = gpu.launch("hist_blockwise_reduction", grid, |scope| {
-        let chunk = data.len().div_ceil(blocks as usize).max(1);
-        let partials: Vec<Histogram> = data
-            .par_chunks(chunk)
-            .map(|part| super::serial::histogram(part, num_symbols))
-            .collect();
-
-        // Traffic: every input element is read once, coalesced; each
-        // element performs one shared-memory atomic into one of `copies`
-        // replicas; replicas are reduced and each block writes one partial.
-        let n = data.len() as u64;
-        let skew = combined_skew(&partials, num_symbols);
-        let t = scope.traffic();
-        charge_read_phase(t, n, num_symbols, copies, skew, gpu.spec().warp_size, symbol_bytes);
-        t.write(Access::Coalesced, u64::from(blocks) * num_symbols as u64, 4);
-        partials
-    });
-
-    gpu.launch("hist_gridwise_reduction", GridDim::cover(num_symbols, BLOCK_THREADS), |scope| {
-        let out = (0..num_symbols)
-            .into_par_iter()
-            .map(|bin| partials.iter().map(|p| p[bin]).sum())
-            .collect();
-        let t = scope.traffic();
-        t.read(Access::Coalesced, partials.len() as u64 * num_symbols as u64, 8);
-        t.write(Access::Coalesced, num_symbols as u64, 8);
-        t.ops(partials.len() as u64 * num_symbols as u64);
-        out
-    })
+        read.global_atomic_coalesced(partials * bins, 4, partials);
+        read.ops(partials * bins);
+        return vec![Launch { name: "hist_fused_reduction", grid, traffic: read }];
+    }
+    // Each block writes one partial; the gridwise kernel tree-reduces them.
+    read.write(Access::Coalesced, u64::from(blocks) * bins, 4);
+    let mut fold = Traffic::new();
+    fold.read(Access::Coalesced, partials * bins, 8);
+    fold.write(Access::Coalesced, bins, 8);
+    fold.ops(partials * bins);
+    vec![
+        Launch { name: "hist_blockwise_reduction", grid, traffic: read },
+        Launch {
+            name: "hist_gridwise_reduction",
+            grid: GridDim::cover(num_symbols, BLOCK_THREADS),
+            traffic: fold,
+        },
+    ]
 }
 
 #[cfg(test)]
@@ -202,8 +164,8 @@ mod tests {
         let data: Vec<u16> = (0..50_000u32).map(|i| ((i * 31) % 613) as u16).collect();
         let g1 = Gpu::new(DeviceSpec::test_part());
         let g2 = Gpu::new(DeviceSpec::test_part());
-        let fused = histogram_with_plan(&g1, &data, 1024, 2, KernelPlan::fused());
-        let unfused = histogram_with_plan(&g2, &data, 1024, 2, KernelPlan::unfused());
+        let fused = histogram_with_plan(&g1, &data, 1024, 2, KernelPlan::Fused);
+        let unfused = histogram_with_plan(&g2, &data, 1024, 2, KernelPlan::Unfused);
         assert_eq!(fused, unfused);
     }
 
@@ -226,7 +188,7 @@ mod tests {
     #[test]
     fn unfused_plan_charges_two_kernels() {
         let gpu = Gpu::new(DeviceSpec::test_part());
-        let _ = histogram_with_plan(&gpu, &[1, 2, 3], 8, 2, KernelPlan::unfused());
+        let _ = histogram_with_plan(&gpu, &[1, 2, 3], 8, 2, KernelPlan::Unfused);
         assert_eq!(gpu.clock().launches(), 2);
         assert!(gpu.elapsed_matching("hist_blockwise") > 0.0);
         assert!(gpu.elapsed_matching("hist_gridwise") > 0.0);
@@ -238,7 +200,7 @@ mod tests {
         // fused plan degrades to the two-kernel global-memory path.
         let gpu = Gpu::v100();
         let data: Vec<u16> = (0..10_000u32).map(|i| (i % 60_000) as u16).collect();
-        let h = histogram_with_plan(&gpu, &data, 65_536, 2, KernelPlan::fused());
+        let h = histogram_with_plan(&gpu, &data, 65_536, 2, KernelPlan::Fused);
         assert_eq!(h, crate::histogram::serial::histogram(&data, 65_536));
         assert_eq!(gpu.clock().launches(), 2);
         assert!(gpu.elapsed_matching("hist_gridwise") > 0.0);
@@ -250,9 +212,9 @@ mod tests {
         // partials round-trip plus the latency-bound tree-reduce launch.
         let data: Vec<u16> = (0..(8 << 20)).map(|i| (i % 1024) as u16).collect();
         let g1 = Gpu::v100();
-        let _ = histogram_with_plan(&g1, &data, 1024, 2, KernelPlan::fused());
+        let _ = histogram_with_plan(&g1, &data, 1024, 2, KernelPlan::Fused);
         let g2 = Gpu::v100();
-        let _ = histogram_with_plan(&g2, &data, 1024, 2, KernelPlan::unfused());
+        let _ = histogram_with_plan(&g2, &data, 1024, 2, KernelPlan::Unfused);
         assert!(g1.elapsed() < g2.elapsed(), "fused {} >= unfused {}", g1.elapsed(), g2.elapsed());
     }
 

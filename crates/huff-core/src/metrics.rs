@@ -112,7 +112,7 @@ pub struct ProfileOptions {
     /// (default [`roofline::DEFAULT_THRESHOLD`]).
     pub roofline_threshold: f64,
     /// Kernel-fusion plan the profiled pipeline runs under (default
-    /// [`KernelPlan::fused`]; the artifact bytes are plan-independent).
+    /// [`KernelPlan::Fused`]; the artifact bytes are plan-independent).
     pub plan: KernelPlan,
 }
 

@@ -446,7 +446,7 @@ mod tests {
             10,
             None,
             PipelineKind::ReduceShuffle,
-            KernelPlan::fused(),
+            KernelPlan::Fused,
         )
         .unwrap();
         let g2 = Gpu::new(DeviceSpec::test_part());
@@ -458,12 +458,12 @@ mod tests {
             10,
             None,
             PipelineKind::ReduceShuffle,
-            KernelPlan::unfused(),
+            KernelPlan::Unfused,
         )
         .unwrap();
         assert_eq!(fused_stream.bytes, unfused_stream.bytes);
-        assert_eq!(fused_report.plan, KernelPlan::fused());
-        assert_eq!(unfused_report.plan, KernelPlan::unfused());
+        assert_eq!(fused_report.plan, KernelPlan::Fused);
+        assert_eq!(unfused_report.plan, KernelPlan::Unfused);
         // Fusion removes the gridwise-reduce and blockwise-len launches.
         assert_eq!(g2.launches() - g1.launches(), 2);
     }

@@ -5,95 +5,53 @@
 //! `enc_blockwise_len` are latency-bound even at the 64 MB acceptance
 //! scale (their total time is dominated by launch ramp + grid syncs, not
 //! by the bytes they move), and `enc_breaking_backtrace` emits its sparse
-//! sidecar through per-unit `Access::Random` writes. A [`KernelPlan`]
-//! selects the fused/restructured variant of each:
+//! sidecar through per-unit `Access::Random` writes. [`KernelPlan::Fused`]
+//! replaces all three:
 //!
-//! - **`fused_histogram`** — single-kernel full privatization
-//!   (Gómez-Luna): blocks reduce their shared-memory replicas and commit
-//!   them straight into the global histogram with consecutive-address
-//!   atomics, eliminating the partials round-trip and the tree-reduce
-//!   launch. The two-kernel path is retained automatically when the
-//!   histogram does not fit a block's shared memory.
-//! - **`fused_len`** — the per-chunk bit-length prefix sum runs as a
+//! - **histogram** — single-kernel full privatization (Gómez-Luna):
+//!   blocks reduce their shared-memory replicas and commit them straight
+//!   into the global histogram with consecutive-address atomics,
+//!   eliminating the partials round-trip and the tree-reduce launch. The
+//!   two-kernel path is retained automatically when the histogram does
+//!   not fit a block's shared memory.
+//! - **chunk lengths** — the per-chunk bit-length prefix sum runs as a
 //!   decoupled-lookback epilogue inside the shuffle-merge kernel
 //!   ([`gpu_sim::prefix::single_pass_scan`]) instead of as its own tiny
 //!   `enc_blockwise_len` launch.
-//! - **`compacted_backtrace`** — breaking units are emitted via
-//!   warp-aggregated compaction (ballot + block-local scan + one
-//!   coalesced segment write per block) instead of per-unit random
-//!   scatter.
+//! - **backtrace** — breaking units are emitted via warp-aggregated
+//!   compaction (ballot + block-local scan + one coalesced segment write
+//!   per block) instead of per-unit random scatter.
 //!
-//! Fusion is a *modeling/scheduling* choice only: every plan produces
+//! [`KernelPlan::Unfused`] keeps the paper's Table I decomposition as the
+//! comparison baseline (`rsh profile --compare`, the bench sweeps). The
+//! autotuner always runs the fused plan.
+//!
+//! Fusion is a *modeling/scheduling* choice only: both plans produce
 //! bit-identical archives, frames and sidecars (proptest-enforced in
 //! `tests/kernel_fusion.rs`), because the host-side functional result
 //! never depends on the plan.
 
 use serde::{Deserialize, Serialize};
 
-/// Which fused kernel variants the encode-side pipeline uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct KernelPlan {
-    /// Single-launch full-privatization histogram (when bins fit shared
-    /// memory) instead of blockwise + gridwise reduction kernels.
-    pub fused_histogram: bool,
-    /// Chunk-length prefix sum fused into the shuffle-merge kernel as a
-    /// single-pass scan epilogue instead of a separate launch.
-    pub fused_len: bool,
-    /// Warp-aggregated coalesced compaction for the breaking sidecar
-    /// instead of per-unit random writes.
-    pub compacted_backtrace: bool,
+/// Which kernel decomposition the encode-side pipeline uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+pub enum KernelPlan {
+    /// Fused histogram, chunk-length scan epilogue and compacted
+    /// backtrace — the shipping default.
+    #[default]
+    Fused,
+    /// The pre-fusion decomposition: every kernel launches and writes
+    /// exactly as the paper's Table I does.
+    Unfused,
 }
 
 impl KernelPlan {
-    /// The fully fused plan — the shipping default.
-    pub const fn fused() -> Self {
-        KernelPlan { fused_histogram: true, fused_len: true, compacted_backtrace: true }
-    }
-
-    /// The pre-fusion plan: every kernel launches and writes exactly as
-    /// the paper's Table I decomposition does. Kept as the comparison
-    /// baseline for `rsh profile --compare` and the bench sweeps.
-    pub const fn unfused() -> Self {
-        KernelPlan { fused_histogram: false, fused_len: false, compacted_backtrace: false }
-    }
-
     /// Stable short name used in bench rows and CLI output.
     pub fn name(&self) -> &'static str {
-        if *self == KernelPlan::fused() {
-            "fused"
-        } else if *self == KernelPlan::unfused() {
-            "unfused"
-        } else {
-            "partial"
+        match self {
+            KernelPlan::Fused => "fused",
+            KernelPlan::Unfused => "unfused",
         }
-    }
-
-    /// Pack the plan into one byte (bit 0 = histogram, bit 1 = len,
-    /// bit 2 = backtrace) for the `rsh-tune-v1` cache.
-    pub fn code(&self) -> u8 {
-        (self.fused_histogram as u8)
-            | ((self.fused_len as u8) << 1)
-            | ((self.compacted_backtrace as u8) << 2)
-    }
-
-    /// Inverse of [`KernelPlan::code`]. Returns `None` if reserved bits
-    /// are set, so cache readers fail open on entries written by a newer
-    /// format revision.
-    pub fn from_code(code: u8) -> Option<Self> {
-        if code & !0b111 != 0 {
-            return None;
-        }
-        Some(KernelPlan {
-            fused_histogram: code & 1 != 0,
-            fused_len: code & 2 != 0,
-            compacted_backtrace: code & 4 != 0,
-        })
-    }
-}
-
-impl Default for KernelPlan {
-    fn default() -> Self {
-        KernelPlan::fused()
     }
 }
 
@@ -103,25 +61,8 @@ mod tests {
 
     #[test]
     fn default_is_fully_fused() {
-        assert_eq!(KernelPlan::default(), KernelPlan::fused());
+        assert_eq!(KernelPlan::default(), KernelPlan::Fused);
         assert_eq!(KernelPlan::default().name(), "fused");
-        assert_eq!(KernelPlan::unfused().name(), "unfused");
-    }
-
-    #[test]
-    fn code_roundtrips_all_eight_plans() {
-        for code in 0u8..8 {
-            let plan = KernelPlan::from_code(code).unwrap();
-            assert_eq!(plan.code(), code);
-        }
-        assert_eq!(KernelPlan::fused().code(), 0b111);
-        assert_eq!(KernelPlan::unfused().code(), 0);
-        assert_eq!(KernelPlan::from_code(0b1000), None);
-    }
-
-    #[test]
-    fn partial_plans_report_partial() {
-        let p = KernelPlan { fused_histogram: true, fused_len: false, compacted_backtrace: true };
-        assert_eq!(p.name(), "partial");
+        assert_eq!(KernelPlan::Unfused.name(), "unfused");
     }
 }

@@ -13,13 +13,17 @@
 //!    power-of-two size class. Quantization makes the signature a stable
 //!    cache key: two inputs with the same statistics tune identically.
 //! 2. **Modeled sweep** ([`plan`]) — candidate reduction factors
-//!    (Fig. 3's `r` ± 1), shard counts and stream counts are scored with
-//!    the existing analytic cost model ([`gpu_sim::cost::estimate`]) on
-//!    the target [`DeviceSpec`]; the decoder is chosen by the same
-//!    ledger comparison that located the ~3-avg-bit crossover. The fixed
-//!    CLI default geometry is always in the candidate set and wins ties
-//!    (a 10 % hysteresis), so an autotuned run never models slower than
-//!    the default it replaces.
+//!    (Fig. 3's `r` ± 1), shard counts and stream counts are scored on
+//!    the target [`DeviceSpec`] with the kernels' own ledgers: each
+//!    shard's records come from the same `launches` functions the
+//!    histogram, codebook and encode kernels charge, at counters
+//!    estimated from the signature ([`ShardCounters`]), replayed through
+//!    the batch engine's stream scheduler. The decoder is chosen by
+//!    pricing the decode kernels' ledgers the same way. The fixed CLI
+//!    default geometry is always in the candidate set and wins ties (the
+//!    [`GEOMETRY_HYSTERESIS`] margin), so an autotuned run never models
+//!    slower than the default it replaces. Every decision runs the fused
+//!    [`KernelPlan`].
 //! 3. **Dispatch early exits** — incompressible inputs (expected output
 //!    ≥ [`STORE_RAW_THRESHOLD`] of raw) skip the encoder entirely and
 //!    are stored in the tiny `RSHR` raw container ([`store_raw`]); tiny
@@ -57,9 +61,11 @@
 
 use crate::archive::{self, CompressOptions};
 use crate::batch::{self, BatchOptions};
-use crate::codebook;
-use crate::decode::DecoderKind;
-use crate::encode::BreakingStrategy;
+use crate::codebook::{self, generate_cl::ClStats};
+use crate::decode::lut::{self, GapStats, SubchunkConfig};
+use crate::decode::{self, DecodeShape, DecoderKind};
+use crate::encode::gpu::{EncodeCounters, EncodeShape};
+use crate::encode::{self, BreakingStrategy, MergeConfig};
 use crate::entropy;
 use crate::error::{HuffError, Result};
 use crate::histogram;
@@ -98,13 +104,14 @@ pub const CPU_SERIAL_BYTES_PER_SEC: f64 = 0.35e9;
 pub const MODEL_SWEEP_SECONDS: f64 = 250.0e-6;
 
 /// Keep the fixed default geometry unless a candidate models at least
-/// this much faster (fractional win). The tuner's synthetic per-shard
-/// ledgers track the real pipeline's replayed makespan to roughly ±15%
-/// (DESIGN.md § "Tuning policy" tabulates the calibration), so a
-/// deviation is only trusted when the modeled win clears that error
-/// band — this is what makes the "autotuned never loses to the default"
-/// contract hold near ties.
-const GEOMETRY_HYSTERESIS: f64 = 0.20;
+/// this much faster (fractional win). The sweep prices candidates with
+/// the kernels' own ledgers at counters estimated from the signature;
+/// `tests/tune_calibration.rs` holds that estimate within this margin of
+/// the batch engine's replayed makespan at every DESIGN.md calibration
+/// point, so a deviation is only trusted when the modeled win clears the
+/// model's error — this is what makes the "autotuned never loses to the
+/// default" contract hold near ties.
+pub const GEOMETRY_HYSTERESIS: f64 = 0.20;
 
 /// Shard-count candidates for the geometry sweep.
 const SHARD_CANDIDATES: [u32; 5] = [1, 2, 4, 8, 16];
@@ -266,8 +273,8 @@ pub struct Decision {
     pub streams: u32,
     /// Recommended decode backend for the produced container.
     pub decoder: DecoderKind,
-    /// Kernel-fusion plan the modeled sweep chose ([`Dispatch::Gpu`]
-    /// only; the default plan otherwise).
+    /// Kernel-fusion plan: always [`KernelPlan::Fused`] (the unfused
+    /// decomposition is a comparison baseline, not a tuning choice).
     pub plan: KernelPlan,
     /// Modeled service time of this decision, nanoseconds (quantized so
     /// cache round-trips are exact).
@@ -302,233 +309,174 @@ fn decoder_from_code(c: u8) -> Option<DecoderKind> {
 // The modeled sweep
 // ---------------------------------------------------------------------------
 
-/// Wrap a priced [`Traffic`] ledger as a replayable [`KernelRecord`].
-/// `elems` sizes the launch grid (256 threads × 4 elements per thread),
-/// which in turn sets the kernel's occupancy weight in the stream
-/// scheduler's contention factor — a shard pass over few elements claims
-/// a small slice of bandwidth, a device-filling pass claims it all.
-fn pass_record(
-    spec: &DeviceSpec,
-    name: &str,
-    traffic: Traffic,
-    elems: u64,
-    launch: bool,
-) -> KernelRecord {
-    let cost = cost::estimate(spec, &traffic, launch);
-    let blocks = u32::try_from(elems.max(1).div_ceil(1024)).unwrap_or(u32::MAX);
-    KernelRecord {
-        seq: 0,
-        name: name.into(),
-        blocks,
-        threads_per_block: 256,
-        stream: 0,
-        contention: 1.0,
-        start: 0.0,
-        end: cost.total,
-        cost,
-        traffic,
-        trace: String::new(),
+/// What one shard's compress kernels are priced on: the shapes and work
+/// counters [`histogram::gpu::launches`], [`codebook::gpu::launches`] and
+/// [`encode::gpu::launches`] take. A real shard measures them; the sweep
+/// estimates them from a [`Signature`] ([`ShardCounters::estimate`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardCounters {
+    /// Histogram bins.
+    pub bins: usize,
+    /// Share of the shard in its hottest bin.
+    pub skew: f64,
+    /// GenerateCL run statistics.
+    pub cl: ClStats,
+    /// Codeword-length levels GenerateCW walks.
+    pub cw_levels: u32,
+    /// The encode kernels' shape (symbols, width, codebook, `M`/`r`).
+    pub shape: EncodeShape,
+    /// The encode kernels' work counters.
+    pub encode: EncodeCounters,
+}
+
+impl ShardCounters {
+    /// Estimate the counters of an `m`-symbol shard at reduction `r` from
+    /// the signature alone.
+    pub fn estimate(sig: &Signature, m: u64, r: u32) -> Self {
+        let k = u64::from(sig.coded_symbols.max(2));
+        let depth = u64::from(sig.max_bits.max(1));
+        let config = MergeConfig::new(MAGNITUDE, r);
+        let unit = 1u64 << r;
+        let units = m.div_ceil(unit);
+        // Units whose r-times-merged codeword overflows the 32-bit word go
+        // to the sparse sidecar. The expected merged width β·2^r prices
+        // the risk: none until ~24 bits, certain at ≥ 32 (Fig. 3's window).
+        let merged = entropy::expected_merged_bits(sig.avg_bits(), r);
+        let broken_frac = ((merged - 24.0) / 8.0).clamp(0.0, 1.0);
+        let breaking_units = (broken_frac * units as f64) as u64;
+        let unit_bits = merged * (1.0 - broken_frac);
+        // A chunk's units pad to a power-of-two cell count; shuffle level i
+        // merges pairs of 2^(i-1)-unit groups, each moving the right
+        // group's words.
+        let cells = (config.units_per_chunk() as u64).min(units).max(2).next_power_of_two();
+        let levels = u64::from(cells.trailing_zeros());
+        let chunks = m.div_ceil(config.chunk_symbols() as u64);
+        let words_per_chunk: u64 = (1..=levels)
+            .map(|i| (cells >> i) * ((unit_bits * (1u64 << (i - 1)) as f64) / 32.0).ceil() as u64)
+            .sum();
+        ShardCounters {
+            // Byte alphabets span 256 bins; wider symbols are quantization
+            // codes over cuSZ's 1024-bin default span, or wider.
+            bins: if sig.symbol_bytes == 1 {
+                256
+            } else {
+                k.next_power_of_two().max(1024) as usize
+            },
+            // The hottest bin's share is at least 2^-H (min-entropy never
+            // exceeds Shannon entropy).
+            skew: (-f64::from(sig.entropy_centibits) / 100.0).exp2(),
+            // One meld round per tree level; every round scans the leaves.
+            cl: ClStats {
+                rounds: depth,
+                merged_elements: 2 * k,
+                melds: k.saturating_sub(1 + depth),
+                leaf_updates: depth * k,
+                selection_scans: depth * k / 2,
+                search_steps: 0,
+            },
+            cw_levels: depth as u32,
+            shape: EncodeShape {
+                symbols: m,
+                symbol_bytes: u64::from(sig.symbol_bytes),
+                coded_symbols: k,
+                config,
+            },
+            encode: EncodeCounters {
+                words_moved: chunks * words_per_chunk,
+                shuffle_iters: levels,
+                total_bits: (m as f64 * sig.avg_bits() * (1.0 - broken_frac)) as u64,
+                breaking_units,
+                breaking_symbols: breaking_units * unit,
+            },
+        }
+    }
+
+    /// The shard's kernel records on `spec` under `plan`, in pipeline
+    /// order — the records a real shard's device clock holds when its
+    /// counters are these.
+    pub fn records(&self, spec: &DeviceSpec, plan: KernelPlan) -> Vec<KernelRecord> {
+        let shape = &self.shape;
+        let launches = histogram::gpu::launches(
+            spec,
+            shape.symbols,
+            self.bins,
+            shape.symbol_bytes,
+            self.skew,
+            plan,
+        )
+        .into_iter()
+        .chain(codebook::gpu::launches(shape.coded_symbols, &self.cl, self.cw_levels))
+        .chain(encode::gpu::launches(spec, shape, &self.encode, plan));
+        let gpu = gpu_sim::Gpu::new(spec.clone());
+        for launch in launches {
+            gpu.charge(&launch);
+        }
+        gpu.clock().drain()
     }
 }
 
-/// Modeled kernel records of one shard's compress pipeline (histogram →
-/// codebook → reduce → shuffle passes → sidecar), built from synthetic
-/// [`Traffic`] ledgers and priced by [`gpu_sim::cost::estimate`]. The
-/// ledger shapes mirror the real kernels' (DESIGN.md § "Tuning policy"
-/// documents each term); absolute accuracy matters less than ranking
-/// candidates consistently with the pipeline the bench sweeps measure.
-fn shard_pipeline_passes(
-    sig: &Signature,
-    spec: &DeviceSpec,
-    r: u32,
-    shard_symbols: u64,
-    plan: KernelPlan,
-) -> Vec<KernelRecord> {
-    let m = shard_symbols.max(1);
-    let sym_b = u64::from(sig.symbol_bytes);
-    let k = u64::from(sig.coded_symbols.max(2));
-    let depth = u64::from(sig.max_bits.max(1));
-    let hist_blocks = u64::from(spec.sm_count) * 8;
-    let mut passes = Vec::new();
-
-    // Histogram, blockwise: stream the shard into privatized
-    // shared-memory bins; conflicts rise with skew. Under the fused plan
-    // the blocks (half as many, striding twice the data each) commit
-    // their replicas straight into the global histogram as coalesced
-    // atomic RMW, absorbing the gridwise fold into the same pass.
-    let mut hist = Traffic::new();
-    hist.read(Access::Coalesced, m, sym_b);
-    hist.shared_atomic(m, m / 64);
-    hist.ops(2 * m);
-    if plan.fused_histogram {
-        let committing = hist_blocks / 2;
-        hist.global_atomic_coalesced(committing * k, 4, committing);
-        hist.ops(committing * k);
-        passes.push(pass_record(spec, "tune_hist_fused", hist, hist_blocks * 1024, true));
-    } else {
-        passes.push(pass_record(spec, "tune_hist_block", hist, hist_blocks * 1024, true));
-
-        // Histogram, gridwise: fold the per-block partial histograms.
-        let mut grid = Traffic::new();
-        grid.read(Access::Coalesced, hist_blocks * k, 8);
-        grid.write(Access::Coalesced, k, 8);
-        grid.ops(hist_blocks * k);
-        passes.push(pass_record(spec, "tune_hist_grid", grid, k, true));
-    }
-
-    // Codebook sort: tiny key-value sort over the alphabet.
-    let mut sort = Traffic::new();
-    sort.grid_sync();
-    sort.ops(4 * k);
-    passes.push(pass_record(spec, "tune_book_sort", sort, 1, true));
-
-    // GenerateCL: one meld round per tree level, five grid-sync'd regions
-    // per round — the sync chain scales with the *code depth*, not the
-    // alphabet, which is why a skewed alphabet (deep tree) pays more here
-    // than a wide flat one.
-    let mut cl = Traffic::new();
-    for _ in 0..5 * depth {
-        cl.grid_sync();
-    }
-    cl.ops(16 * k * depth);
-    passes.push(pass_record(spec, "tune_book_cl", cl, 1, true));
-
-    // GenerateCW + canonize: one sync'd pass per code level plus fixup.
-    let mut cw = Traffic::new();
-    for _ in 0..2 + (8 * depth) / 5 {
-        cw.grid_sync();
-    }
-    cw.ops(6 * k);
-    passes.push(pass_record(spec, "tune_book_cw", cw, 1, true));
-
-    // Reduce-merge: codeword lookup from shared, 2^r-way merge per unit.
-    let units = (m >> r.min(20)).max(1);
-    let mut reduce = Traffic::new();
-    reduce.read(Access::Coalesced, m, 4);
-    reduce.write(Access::Coalesced, units, 4);
-    reduce.ops(6 * m);
-    passes.push(pass_record(spec, "tune_reduce", reduce, m, true));
-
-    // Shuffle-merge: one kernel, s = M - r sync'd densify levels over the
-    // units (shared-resident; global traffic once per level). The fused
-    // plan appends the chunk-length scan as a decoupled-lookback epilogue
-    // (no extra launch, no extra syncs).
-    let levels = u64::from(MAGNITUDE.saturating_sub(r).max(1));
-    let mut shuf = Traffic::new();
-    for _ in 0..levels {
-        shuf.grid_sync();
-    }
-    shuf.read(Access::Coalesced, units * levels, 2);
-    shuf.write(Access::Coalesced, units * levels, 2);
-    shuf.ops(3 * units * levels);
-    if plan.fused_len {
-        shuf.ops(2 * units);
-        passes.push(pass_record(spec, "tune_shuffle", shuf, m, true));
-    } else {
-        passes.push(pass_record(spec, "tune_shuffle", shuf, m, true));
-
-        // Chunk-length scan as its own launch.
-        let mut lens = Traffic::new();
-        lens.grid_sync();
-        lens.grid_sync();
-        lens.ops(2 * units);
-        passes.push(pass_record(spec, "tune_chunk_len", lens, units, true));
-    }
-
-    let payload_bytes = ((m as f64 * sig.avg_bits() / 8.0).max(1.0)) as u64;
-    let mut copy = Traffic::new();
-    copy.read(Access::Coalesced, payload_bytes, 1);
-    copy.write(Access::Coalesced, payload_bytes, 1);
-    copy.ops(payload_bytes / 4);
-    passes.push(pass_record(spec, "tune_copy", copy, m, true));
-
-    // Breaking backtrace: units whose r-times-merged codeword overflows
-    // the 32-bit word go to the sparse sidecar (strided scatter of the
-    // raw symbols). The expected merged width β·2^r prices the risk: no
-    // penalty until ~24 bits, certain breaking at ≥ 32 (Fig. 3's window).
-    let merged = entropy::expected_merged_bits(sig.avg_bits(), r);
-    let break_frac = ((merged - 24.0) / 8.0).clamp(0.0, 1.0);
-    let broken = (break_frac * units as f64) as u64;
-    let mut side = Traffic::new();
-    if plan.compacted_backtrace {
-        // Warp-aggregated compaction: coalesced segment writes, no
-        // device-wide barrier.
-        if broken > 0 {
-            side.write(Access::Coalesced, broken << r.min(20), 2);
-            side.ops(4 * (broken << r.min(20)));
-            side.diverge(2.0);
-        }
-    } else {
-        side.grid_sync();
-        if broken > 0 {
-            side.write(Access::Strided, broken << r.min(20), 2);
-            side.ops(4 * (broken << r.min(20)));
-            side.diverge(2.0);
-        }
-    }
-    passes.push(pass_record(spec, "tune_breaking", side, (broken << r.min(20)).max(1), true));
-    passes
-}
-
-/// Modeled makespan of `shards` shard pipelines overlapped across
-/// `streams` streams of one device — replayed through the *same*
-/// [`StreamSchedule`] the batch engine uses (shard `k` on stream
-/// `k % streams`, FIFO per stream), so the tuner inherits the scheduler's
-/// bandwidth-contention model verbatim: memory-bound passes on concurrent
-/// streams share one DRAM interface and gain nothing from overlap, while
-/// launch/latency/sync-bound passes (codebook construction, short shuffle
-/// tails) overlap almost for free. Keeping one scheduler for both the
-/// tuner and the batch engine is what makes the autotuned-never-loses
-/// contract hold: a geometry only looks faster here if the engine's own
+/// Modeled makespan of `n` symbols cut into `shards` shard pipelines
+/// (`ceil(n / shards)` symbols each, the last one shorter) and overlapped
+/// across `streams` streams of one device, under the fused plan. The
+/// shard records are the kernels' own ledgers at estimated counters
+/// ([`ShardCounters`]), replayed through the *same* [`StreamSchedule`]
+/// the batch engine uses (shard `k` on stream `k % streams`, FIFO per
+/// stream), so the tuner inherits the scheduler's bandwidth-contention
+/// model verbatim: memory-bound passes on concurrent streams share one
+/// DRAM interface and gain nothing from overlap, while launch/latency/
+/// sync-bound passes (codebook construction, short shuffle tails) overlap
+/// almost for free. A geometry only looks faster here if the engine's own
 /// replay would also find it faster.
 pub fn geometry_seconds(
     sig: &Signature,
     spec: &DeviceSpec,
+    n: u64,
     r: u32,
     shards: u32,
     streams: u32,
-    plan: KernelPlan,
 ) -> f64 {
-    let n = sig.representative_symbols();
-    let per_shard = n.div_ceil(u64::from(shards)).max(1);
-    let mut sched = StreamSchedule::new(spec.clone(), streams.max(1) as usize);
-    for k in 0..shards {
-        let stream = (k % streams.max(1)) as usize;
-        sched.enqueue_all(stream, shard_pipeline_passes(sig, spec, r, per_shard, plan));
+    let per_shard = n.div_ceil(u64::from(shards.max(1))).max(1);
+    let streams = streams.max(1) as usize;
+    let mut sched = StreamSchedule::new(spec.clone(), streams);
+    for (k, start) in (0..n).step_by(per_shard as usize).enumerate() {
+        let shard = ShardCounters::estimate(sig, per_shard.min(n - start), r);
+        sched.enqueue_all(k % streams, shard.records(spec, KernelPlan::Fused));
     }
     sched.run().makespan
 }
 
-/// Pick the decode backend for a signature by the same ledger comparison
-/// that located the ~3-avg-bit LUT crossover (the
-/// `per_bit_vs_per_symbol_decode_shapes_cross_over` recipe in
-/// `gpu_sim::cost`): a bit-serial chunked kernel's compute term scales
-/// with payload *bits*, the LUT pipeline's with *symbols* plus a
-/// sync-pass launch. Returns [`DecoderKind::Lut`] when the LUT pipeline
-/// models faster, else [`DecoderKind::Chunked`].
+/// Pick the decode backend for a signature by pricing the decode kernels'
+/// own ledgers on the signature's shape: the bit-serial chunked kernel
+/// ([`decode::gpu::chunked_ledger`]), whose compute term scales with
+/// payload *bits*, against the LUT pipeline's sync pass plus decode
+/// ([`decode::gpu::sync_ledger`] + [`decode::gpu::lut_ledger`]), which
+/// scale with *symbols* plus one extra launch and per-block LUT staging
+/// (DESIGN.md § "Tuning policy", worked example 1).
+/// Returns [`DecoderKind::Lut`] when the LUT pipeline models faster, else
+/// [`DecoderKind::Chunked`].
 pub fn choose_decoder(sig: &Signature, spec: &DeviceSpec) -> DecoderKind {
     let n = sig.representative_symbols();
-    let bits = (n as f64 * sig.avg_bits()) as u64;
+    let total_bits = (n as f64 * sig.avg_bits()) as u64;
+    let chunks = n.div_ceil(1 << MAGNITUDE);
+    let shape = DecodeShape {
+        symbols: n,
+        total_bits,
+        chunks,
+        subsequences: chunks * (total_bits / chunks).div_ceil(lut::DEFAULT_SUBCHUNK_BITS),
+    };
+    let stats = GapStats::estimate(&shape);
+    // Table footprints: the reverse codebook plus `First`/`Entry` per
+    // length level, and a LUT indexed by up to DEFAULT_LUT_BITS bits.
+    let depth = u64::from(sig.max_bits.max(1));
+    let table_bytes = 2 * u64::from(sig.coded_symbols) + 8 * (depth + 1) + 4 * (depth + 2);
+    let lut_bytes = 4 << depth.min(u64::from(lut::DEFAULT_LUT_BITS));
 
-    let mut serial = Traffic::new();
-    serial.read(Access::Coalesced, bits / 8, 1);
-    serial.write(Access::Coalesced, n, 2);
-    serial.ops(6 * bits);
-    serial.diverge(2.0);
-    let bit_serial = cost::estimate(spec, &serial, true).total;
-
-    let mut sync = Traffic::new();
-    sync.read(Access::Strided, bits / 256, 32);
-    sync.ops(5 * 2 * n);
-    sync.diverge(2.0);
-    let mut dec = Traffic::new();
-    dec.read(Access::Coalesced, bits / 8, 1);
-    dec.write(Access::Coalesced, n, 2);
-    dec.ops(8 * n);
-    dec.diverge(1.2);
-    let lut = cost::estimate(spec, &sync, true).total + cost::estimate(spec, &dec, true).total;
-
-    if lut < bit_serial {
+    let secs = |t: Traffic| cost::estimate(spec, &t, true).total;
+    let chunked = secs(decode::gpu::chunked_ledger(spec, &shape, table_bytes));
+    let lut =
+        secs(decode::gpu::sync_ledger(spec, &shape, &stats, SubchunkConfig::default(), lut_bytes))
+            + secs(decode::gpu::lut_ledger(spec, &shape, &stats, lut_bytes));
+    if lut < chunked {
         DecoderKind::Lut
     } else {
         DecoderKind::Chunked
@@ -546,8 +494,8 @@ pub fn choose_decoder(sig: &Signature, spec: &DeviceSpec) -> DecoderKind {
 /// 2. size class below [`SMALL_INPUT_SYMBOLS`] → [`Dispatch::CpuSerial`]
 ///    with Fig. 3's `r`;
 /// 3. otherwise score `r ∈ {r₀−1, r₀, r₀+1}` (Fig. 3's `r₀`, clamped) ×
-///    shards `{1, 2, 4, 8, 16}` × streams `{1, 2, 4}` with the cost model,
-///    keep the fixed default geometry unless a candidate wins by more
+///    shards `{1, 2, 4, 8, 16}` × streams `{1, 2, 4}` with
+///    [`geometry_seconds`], keep the fixed default geometry unless a candidate wins by more
 ///    than the hysteresis margin, and pick the decoder with
 ///    [`choose_decoder`].
 pub fn plan(sig: &Signature, spec: &DeviceSpec) -> Decision {
@@ -566,7 +514,7 @@ pub fn plan(sig: &Signature, spec: &DeviceSpec) -> Decision {
             shards: 1,
             streams: 1,
             decoder: DecoderKind::Serial,
-            plan: KernelPlan::default(),
+            plan: KernelPlan::Fused,
             modeled_nanos: (secs * 1e9) as u64,
         };
     }
@@ -583,19 +531,18 @@ pub fn plan(sig: &Signature, spec: &DeviceSpec) -> Decision {
             shards: 1,
             streams: 1,
             decoder: DecoderKind::Serial,
-            plan: KernelPlan::default(),
+            plan: KernelPlan::Fused,
             modeled_nanos: (secs * 1e9) as u64,
         };
     }
 
-    // 3. Geometry × plan sweep. The fixed CLI default — Fig. 3's r,
-    // 4 Mi-symbol shards, 2 streams, fused kernels (BatchOptions::new) —
-    // anchors the comparison.
+    // 3. Geometry sweep. The fixed CLI default — Fig. 3's r, 4 Mi-symbol
+    // shards, 2 streams (BatchOptions::new) — anchors the comparison.
     let default_shards = u32::try_from(n.div_ceil(1 << 22))
         .unwrap_or(u32::MAX)
         .clamp(1, *SHARD_CANDIDATES.last().unwrap());
-    let default = (r0, default_shards, 2u32, KernelPlan::default());
-    let default_secs = geometry_seconds(sig, spec, r0, default_shards, 2, KernelPlan::default());
+    let default = (r0, default_shards, 2u32);
+    let default_secs = geometry_seconds(sig, spec, n, r0, default_shards, 2);
 
     let mut best = default;
     let mut best_secs = default_secs;
@@ -606,31 +553,29 @@ pub fn plan(sig: &Signature, spec: &DeviceSpec) -> Decision {
                 continue;
             }
             for &streams in &STREAM_CANDIDATES {
-                for plan in [KernelPlan::fused(), KernelPlan::unfused()] {
-                    let secs = geometry_seconds(sig, spec, r, shards, streams, plan);
-                    if secs < best_secs {
-                        best = (r, shards, streams, plan);
-                        best_secs = secs;
-                    }
+                let secs = geometry_seconds(sig, spec, n, r, shards, streams);
+                if secs < best_secs {
+                    best = (r, shards, streams);
+                    best_secs = secs;
                 }
             }
         }
     }
     // Hysteresis: deviate from the default only on a clear modeled win.
-    let (r, shards, streams, plan, secs) = if best_secs < default_secs * (1.0 - GEOMETRY_HYSTERESIS)
-    {
-        (best.0, best.1, best.2, best.3, best_secs)
-    } else {
-        (default.0, default.1, default.2, default.3, default_secs)
-    };
+    let ((reduction, shards, streams), secs) =
+        if best_secs < default_secs * (1.0 - GEOMETRY_HYSTERESIS) {
+            (best, best_secs)
+        } else {
+            (default, default_secs)
+        };
 
     Decision {
         dispatch: Dispatch::Gpu,
-        reduction: r,
+        reduction,
         shards,
         streams,
         decoder: choose_decoder(sig, spec),
-        plan,
+        plan: KernelPlan::Fused,
         modeled_nanos: (secs * 1e9) as u64,
     }
 }
@@ -1026,7 +971,6 @@ fn render_cache(entries: &BTreeMap<CacheKey, Decision>) -> Vec<u8> {
         e.put_u8(d.streams.min(255) as u8);
         e.put_u8(decoder_code(d.decoder));
         e.put_u64_le(d.modeled_nanos);
-        e.put_u8(d.plan.code());
         let entry_crc = crc32(&e);
         buf.put_u16_le(e.len() as u16);
         buf.put_slice(&e);
@@ -1073,9 +1017,9 @@ fn parse_entry(entry: &[u8]) -> Option<(CacheKey, Decision)> {
         return None;
     }
     let name_len = b.get_u8() as usize;
-    // Entries written before the plan byte existed come up short here and
-    // are skipped (fail-open: the signature just re-models on next use).
-    if b.remaining() < name_len + 6 * 4 + 1 + 1 + 1 + 2 + 1 + 1 + 8 + 1 {
+    // Read by minimum length: bytes past the fields below are ignored, so
+    // entries that still carry the retired plan byte parse unchanged.
+    if b.remaining() < name_len + 6 * 4 + 1 + 1 + 1 + 2 + 1 + 1 + 8 {
         return None;
     }
     let name = String::from_utf8(b.copy_to_bytes(name_len).to_vec()).ok()?;
@@ -1095,7 +1039,7 @@ fn parse_entry(entry: &[u8]) -> Option<(CacheKey, Decision)> {
         streams: u32::from(b.get_u8()),
         decoder: decoder_from_code(b.get_u8())?,
         modeled_nanos: b.get_u64_le(),
-        plan: KernelPlan::from_code(b.get_u8())?,
+        plan: KernelPlan::Fused,
     };
     Some(((name, sig), decision))
 }
@@ -1107,7 +1051,7 @@ fn parse_entry(entry: &[u8]) -> Option<(CacheKey, Decision)> {
 /// The adaptive autotuner: measures signatures, consults the cache,
 /// models the sweep on misses and persists what it learns.
 ///
-/// Hit/miss/sweep counters are public so callers (the serve engine, the
+/// Hit/miss counters are public so callers (the serve engine, the
 /// bench harness, tests) can assert cache behavior; every lookup is also
 /// recorded in the global metrics registry
 /// (`rsh_tune_lookups_total{result=...}`,
@@ -1120,20 +1064,17 @@ pub struct Tuner {
     pub hits: u64,
     /// Lookups that had to model the sweep.
     pub misses: u64,
-    /// Full candidate sweeps modeled (== misses; kept separate so a
-    /// future partial-reuse policy stays observable).
-    pub modeled_sweeps: u64,
 }
 
 impl Tuner {
     /// A tuner for `device` with an in-memory cache.
     pub fn new(device: DeviceSpec) -> Self {
-        Tuner { device, cache: TuneCache::in_memory(), hits: 0, misses: 0, modeled_sweeps: 0 }
+        Tuner { device, cache: TuneCache::in_memory(), hits: 0, misses: 0 }
     }
 
     /// A tuner whose cache loads from and persists to `path`.
     pub fn with_cache_path(device: DeviceSpec, path: impl AsRef<Path>) -> Self {
-        Tuner { device, cache: TuneCache::load(path), hits: 0, misses: 0, modeled_sweeps: 0 }
+        Tuner { device, cache: TuneCache::load(path), hits: 0, misses: 0 }
     }
 
     /// The device decisions are modeled for.
@@ -1164,7 +1105,6 @@ impl Tuner {
             return Ok((sig, d, true));
         }
         self.misses += 1;
-        self.modeled_sweeps += 1;
         let d = plan(&sig, &self.device);
         self.cache.insert(self.device.name, sig, d);
         let _ = self.cache.save();
@@ -1401,6 +1341,47 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// Rewrite every entry of a rendered cache as `f(body)`, fixing the
+    /// per-entry length and CRC (the file header does not cover entries).
+    fn rewrite_entries(file: &[u8], f: impl Fn(&[u8]) -> Vec<u8>) -> Vec<u8> {
+        let mut out = file[..16].to_vec();
+        let mut at = 16;
+        while at < file.len() {
+            let len = u16::from_le_bytes([file[at], file[at + 1]]) as usize;
+            let body = f(&file[at + 2..at + 2 + len]);
+            out.extend_from_slice(&(body.len() as u16).to_le_bytes());
+            out.extend_from_slice(&body);
+            out.extend_from_slice(&crc32(&body).to_le_bytes());
+            at += 2 + len + 4;
+        }
+        out
+    }
+
+    #[test]
+    fn cache_entries_stay_compatible_across_the_plan_byte() {
+        let sig = Signature::measure(&skewed(1 << 16), 64, 2).unwrap();
+        let d = plan(&sig, &DeviceSpec::v100());
+        let mut entries = BTreeMap::new();
+        entries.insert(("V100".to_string(), sig), d);
+        let file = render_cache(&entries);
+
+        // An entry written with the retired trailing plan byte (either
+        // value) reads back as the same decision, the byte ignored.
+        for plan_code in [0b111u8, 0] {
+            let old = rewrite_entries(&file, |body| [body, &[plan_code]].concat());
+            assert_eq!(parse_cache(&old).get(&("V100".to_string(), sig)), Some(&d));
+        }
+
+        // An entry written now is one byte short of what a reader that
+        // still requires the plan byte accepts (name length byte, name,
+        // 6 × u32 signature, symbol width, dispatch, r, u16 shards,
+        // streams, decoder, u64 modeled nanos, plan), so such a reader
+        // skips it and re-models: fail-open.
+        let len = u16::from_le_bytes([file[16], file[17]]) as usize;
+        let plan_reader_min = 1 + "V100".len() + 6 * 4 + 1 + 1 + 1 + 2 + 1 + 1 + 8 + 1;
+        assert_eq!(len + 1, plan_reader_min);
+    }
+
     #[test]
     fn tuner_hits_cache_on_second_call_with_identical_bytes() {
         let data = skewed(60_000);
@@ -1409,8 +1390,7 @@ mod tests {
         let (b, db, hit_b) = tuner.compress(&data, 64, 2).unwrap();
         assert!(!hit_a && hit_b);
         assert_eq!(tuner.hits, 1);
-        assert_eq!(tuner.misses, 1);
-        assert_eq!(tuner.modeled_sweeps, 1, "hit must not model the sweep");
+        assert_eq!(tuner.misses, 1, "hit must not model the sweep");
         assert_eq!(da, db);
         assert_eq!(a, b);
         assert_eq!(decompress(&a).unwrap(), data);
@@ -1436,7 +1416,7 @@ mod tests {
             shards: 1,
             streams: 1,
             decoder: DecoderKind::Serial,
-            plan: KernelPlan::default(),
+            plan: KernelPlan::Fused,
             modeled_nanos: 0,
         };
         let raw = compress_with_decision(&data, 256, 1, &d, &v100).unwrap();
@@ -1454,7 +1434,7 @@ mod tests {
             shards: 4,
             streams: 2,
             decoder: DecoderKind::Lut,
-            plan: KernelPlan::default(),
+            plan: KernelPlan::Fused,
             modeled_nanos: 0,
         };
         let frame = compress_with_decision(&big, 64, 2, &d, &v100).unwrap();
@@ -1480,9 +1460,9 @@ mod tests {
             let r0 = entropy::decide_reduction_factor(sig.avg_bits(), 32, 10);
             let default_shards =
                 u32::try_from(sig.representative_symbols().div_ceil(1 << 22)).unwrap().clamp(1, 16);
-            let default_secs =
-                geometry_seconds(&sig, &spec, r0, default_shards, 2, KernelPlan::default());
-            let chosen = geometry_seconds(&sig, &spec, d.reduction, d.shards, d.streams, d.plan);
+            let n = sig.representative_symbols();
+            let default_secs = geometry_seconds(&sig, &spec, n, r0, default_shards, 2);
+            let chosen = geometry_seconds(&sig, &spec, n, d.reduction, d.shards, d.streams);
             assert!(
                 chosen <= default_secs * (1.0 + 1e-9),
                 "size 2^{n_log2}: chosen {chosen} vs default {default_secs}"

@@ -13,12 +13,20 @@
 //!    decision.
 //! 3. **Dispatch round-trip.** Every dispatch path's output decompresses
 //!    through the single `archive::decompress_with` entry point.
+//! 4. **One ledger.** The sweep prices a shard with the kernels' own
+//!    ledgers: at measured counters its records are the real run's.
 
-use gpu_sim::DeviceSpec;
+use gpu_sim::{DeviceSpec, Gpu};
 use huff_core::archive::{self, CompressOptions};
 use huff_core::batch::{self, BatchOptions};
+use huff_core::codebook::generate_cl::generate_cl;
+use huff_core::encode::gpu::{EncodeCounters, EncodeShape};
+use huff_core::encode::reduce_shuffle;
+use huff_core::histogram;
 use huff_core::integrity::DecompressOptions;
-use huff_core::tune::{self, Dispatch, TuneCache, Tuner};
+use huff_core::pipeline::{self, PipelineKind};
+use huff_core::tune::{self, Dispatch, ShardCounters, TuneCache, Tuner};
+use huff_core::{CanonicalCodebook, KernelPlan, MergeConfig};
 use proptest::prelude::*;
 
 /// Skewed symbols over `k` bins: a golden-ratio multiplicative hash
@@ -115,7 +123,7 @@ proptest! {
         prop_assert!(hit2, "persisted decision must be found on reload");
         prop_assert_eq!(sig2, sig);
         prop_assert_eq!(decision2, decision);
-        prop_assert_eq!(warm.modeled_sweeps, 0);
+        prop_assert_eq!(warm.misses, 0);
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -198,5 +206,83 @@ fn signature_quantization_reuses_decisions_across_similar_inputs() {
     assert!(!hit_a);
     assert_eq!(sig_a, sig_b, "similar inputs must quantize to one signature");
     assert!(hit_b, "second similar input must hit the in-memory cache");
-    assert_eq!(tuner.modeled_sweeps, 1);
+    assert_eq!(tuner.misses, 1);
+}
+
+/// The counters a real [`pipeline::run_with_plan`] measured on `data`,
+/// recounted from the same host passes the kernels run.
+fn measured_counters(
+    spec: &DeviceSpec,
+    data: &[u16],
+    bins: usize,
+    symbol_bytes: u64,
+    book: &CanonicalCodebook,
+    config: MergeConfig,
+) -> ShardCounters {
+    let freqs = histogram::serial::histogram(data, bins);
+    let mut sorted: Vec<u64> = freqs.iter().copied().filter(|&f| f > 0).collect();
+    sorted.sort_unstable();
+    let (_, cl) = generate_cl(&sorted, spec.sm_count as usize);
+    let mut lengths: Vec<u32> = book.lengths().into_iter().filter(|&l| l > 0).collect();
+    lengths.sort_unstable();
+    lengths.dedup();
+    let mut encode = EncodeCounters::default();
+    for chunk in data.chunks(config.chunk_symbols()) {
+        let c = reduce_shuffle::encode_chunk::<u32>(chunk, book, config);
+        encode.words_moved += c.shuffle.words_moved;
+        encode.shuffle_iters = encode.shuffle_iters.max(u64::from(c.shuffle.iterations));
+        encode.total_bits += c.bit_len;
+        encode.breaking_units += c.breaking.len() as u64;
+        encode.breaking_symbols += c.breaking.iter().map(|(_, s)| s.len() as u64).sum::<u64>();
+    }
+    ShardCounters {
+        bins,
+        skew: gpu_sim::atomic::histogram_skew(&freqs),
+        cl,
+        cw_levels: lengths.len() as u32,
+        shape: EncodeShape {
+            symbols: data.len() as u64,
+            symbol_bytes,
+            coded_symbols: book.coded_symbols() as u64,
+            config,
+        },
+        encode,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One ledger: a shard's tuner records, built from the counters a
+    /// real pipeline run measured, are that run's kernel records — same
+    /// kernels in the same order, same grids, equal traffic — under both
+    /// plans, with and without breaking units.
+    #[test]
+    fn tuner_records_are_the_kernels_own_ledgers(
+        n in 1usize..20_000,
+        k in 2u16..600,
+        seed in any::<u64>(),
+        r in 1u32..6,
+        unfused in any::<bool>(),
+        symbol_bytes in 1u64..3,
+    ) {
+        let plan = if unfused { KernelPlan::Unfused } else { KernelPlan::Fused };
+        let spec = DeviceSpec::v100();
+        let data = skewed(n, k, seed);
+        let bins = usize::from(k);
+        let gpu = Gpu::new(spec.clone());
+        let (_, book, report) = pipeline::run_with_plan(
+            &gpu, &data, symbol_bytes, bins, 10, Some(r), PipelineKind::ReduceShuffle, plan,
+        ).unwrap();
+        let real = gpu.clock().drain();
+        let config = MergeConfig::new(10, report.reduction);
+        let tuned = measured_counters(&spec, &data, bins, symbol_bytes, &book, config)
+            .records(&spec, plan);
+        prop_assert_eq!(tuned.len(), real.len());
+        for (t, k) in tuned.iter().zip(&real) {
+            prop_assert_eq!(&t.name, &k.name);
+            prop_assert_eq!((t.blocks, t.threads_per_block), (k.blocks, k.threads_per_block));
+            prop_assert_eq!(t.traffic, k.traffic, "{}", k.name);
+        }
+    }
 }

@@ -15,7 +15,7 @@ use huff_core::{DecompressOptions, KernelPlan};
 use proptest::prelude::*;
 
 const KINDS: [DecoderKind; 3] = [DecoderKind::Serial, DecoderKind::Chunked, DecoderKind::Lut];
-const PLANS: [KernelPlan; 2] = [KernelPlan::fused(), KernelPlan::unfused()];
+const PLANS: [KernelPlan; 2] = [KernelPlan::Fused, KernelPlan::Unfused];
 
 fn symbols(n: usize, seed: u64, bins: u64) -> Vec<u16> {
     (0..n)

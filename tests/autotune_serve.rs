@@ -54,7 +54,6 @@ fn second_identical_request_is_served_from_the_tuning_cache() {
     // The tuner modeled exactly once; the repeat hit the cache.
     let tuner = eng.tuner().expect("engine was built with a tuner");
     assert_eq!(tuner.misses, 1);
-    assert_eq!(tuner.modeled_sweeps, 1);
     assert!(tuner.hits >= 1, "second request must hit the tuning cache");
 
     // Zero modeling cost on the hit: the second request's service time
@@ -98,7 +97,6 @@ fn distinct_workload_signatures_each_model_once() {
 
     let tuner = eng.tuner().unwrap();
     assert_eq!(tuner.misses, 2, "two distinct signatures, two modeled sweeps");
-    assert_eq!(tuner.modeled_sweeps, 2);
     assert_eq!(tuner.hits, 2, "each repeat must be a cache hit");
 }
 

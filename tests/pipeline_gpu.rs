@@ -137,7 +137,7 @@ fn clock_records_legacy_kernel_set_under_unfused_plan() {
         10,
         Some(3),
         PipelineKind::ReduceShuffle,
-        KernelPlan::unfused(),
+        KernelPlan::Unfused,
     )
     .unwrap();
     let names: Vec<String> = gpu.clock().by_kernel().into_iter().map(|(n, _, _)| n).collect();

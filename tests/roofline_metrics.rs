@@ -302,7 +302,7 @@ fn accept_64mb_fused_kernels_leave_the_latency_wall() {
     let opts = metrics::ProfileOptions::new(d.num_symbols())
         .symbol_bytes(d.symbol_bytes())
         .reduction(d.paper_reduction())
-        .plan(KernelPlan::fused());
+        .plan(KernelPlan::Fused);
     let (_, profile) = metrics::profile_compress(&gpu, &data, &opts).unwrap();
     let report = profile.roofline(0.5);
 
