@@ -5,8 +5,9 @@
 //! Performance on Modern GPU Architectures", IPDPS'21) runs CUDA kernels on
 //! a V100 and an RTX 5000; here, kernels are expressed as sequences of
 //! grid-wide parallel regions (the Cooperative-Groups persistent-kernel
-//! style the paper uses) and executed with real data parallelism on the
-//! host, while a [`traffic::Traffic`] ledger records the memory behaviour —
+//! style the paper uses) and executed on the host through the rayon API
+//! (the workspace's vendored rayon runs them sequentially), while a
+//! [`traffic::Traffic`] ledger records the memory behaviour —
 //! coalesced vs. strided vs. random, atomics and their conflicts, grid
 //! syncs, sequential latency-bound regions — and [`cost::estimate`] turns
 //! the ledger into modeled device time from spec-sheet numbers alone.

@@ -1,33 +1,15 @@
-//! Device primitive: parallel sort — the Thrust stand-in.
+//! Device primitive ledger: parallel sort — the Thrust stand-in.
 //!
 //! GenerateCL requires its input histogram sorted by ascending frequency
 //! (Section IV-B1: "the histogram is sorted in ascending order using
-//! Thrust. This operation is low-cost, as n is relatively small"). We sort
-//! on the host with rayon and charge a 4-pass LSD radix sort's traffic.
+//! Thrust. This operation is low-cost, as n is relatively small"). The
+//! codebook kernel sorts on the host and charges [`traffic`], a 4-pass
+//! LSD radix sort's ledger.
 
-use crate::exec::KernelScope;
 use crate::traffic::{Access, Traffic};
-use rayon::prelude::*;
-
-/// Sort `(key, value)` pairs by ascending key, stably, accounting the
-/// traffic of a 4-pass radix sort over `keys.len()` elements.
-pub fn sort_pairs_by_key<K, V>(scope: &mut KernelScope, pairs: &mut [(K, V)])
-where
-    K: Ord + Send + Sync,
-    V: Send,
-{
-    pairs.par_sort_by(|a, b| a.0.cmp(&b.0));
-    scope.traffic().absorb(&traffic(pairs.len() as u64, std::mem::size_of::<(K, V)>() as u64));
-}
-
-/// Sort a key slice ascending.
-pub fn sort_keys<K: Ord + Send>(scope: &mut KernelScope, keys: &mut [K]) {
-    keys.par_sort_unstable();
-    scope.traffic().absorb(&traffic(keys.len() as u64, std::mem::size_of::<K>() as u64));
-}
 
 /// The ledger of a 4-pass LSD radix sort over `n` elements of
-/// `elem_bytes` bytes (what the sort primitives charge).
+/// `elem_bytes` bytes.
 pub fn traffic(n: u64, elem_bytes: u64) -> Traffic {
     const RADIX_PASSES: u64 = 4;
     let mut t = Traffic::new();
@@ -48,39 +30,12 @@ mod tests {
     use crate::exec::Gpu;
     use crate::grid::GridDim;
 
-    fn with_scope<R>(f: impl FnOnce(&mut KernelScope) -> R) -> R {
-        let g = Gpu::new(DeviceSpec::test_part());
-        g.launch("sort_test", GridDim::new(1, 32), f)
-    }
-
-    #[test]
-    fn sorts_pairs_ascending_by_key() {
-        let mut p = vec![(5u64, 'a'), (1, 'b'), (3, 'c')];
-        with_scope(|s| sort_pairs_by_key(s, &mut p));
-        assert_eq!(p, vec![(1, 'b'), (3, 'c'), (5, 'a')]);
-    }
-
-    #[test]
-    fn stable_for_equal_keys() {
-        let mut p = vec![(1u32, 0usize), (1, 1), (0, 2), (1, 3)];
-        with_scope(|s| sort_pairs_by_key(s, &mut p));
-        assert_eq!(p, vec![(0, 2), (1, 0), (1, 1), (1, 3)]);
-    }
-
-    #[test]
-    fn sorts_keys() {
-        let mut k = vec![9u16, 2, 7, 2];
-        with_scope(|s| sort_keys(s, &mut k));
-        assert_eq!(k, vec![2, 2, 7, 9]);
-    }
-
     #[test]
     fn sort_is_cheap_relative_to_data_size() {
         // Paper: sorting the n-symbol histogram is low-cost vs the input.
         let g = Gpu::new(DeviceSpec::v100());
         g.launch("sort", GridDim::new(1, 32), |s| {
-            let mut pairs: Vec<(u64, u32)> = (0..1024u64).rev().map(|i| (i, i as u32)).collect();
-            sort_pairs_by_key(s, &mut pairs);
+            s.traffic().absorb(&traffic(1024, std::mem::size_of::<(u64, u32)>() as u64));
         });
         assert!(g.elapsed() < 100.0e-6, "sort of 1024 keys modeled {} s", g.elapsed());
     }

@@ -66,31 +66,6 @@ proptest! {
         prop_assert!(v.compute <= r.compute + 1e-15);
     }
 
-    /// Scan matches the serial reference for arbitrary inputs.
-    #[test]
-    fn scan_matches_reference(input in proptest::collection::vec(0u64..1 << 40, 0..3000)) {
-        let gpu = Gpu::new(DeviceSpec::test_part());
-        let (out, total) = gpu.launch("scan", GridDim::new(1, 32), |s| {
-            gpu_sim::prefix::exclusive_scan(s, &input)
-        });
-        let mut acc = 0u64;
-        for (i, &v) in input.iter().enumerate() {
-            prop_assert_eq!(out[i], acc);
-            acc += v;
-        }
-        prop_assert_eq!(total, acc);
-    }
-
-    /// par_merge equals sort of the concatenation.
-    #[test]
-    fn device_sort_sorts(mut keys in proptest::collection::vec(any::<u32>(), 0..2000)) {
-        let gpu = Gpu::new(DeviceSpec::test_part());
-        gpu.launch("sort", GridDim::new(1, 32), |s| {
-            gpu_sim::sort::sort_keys(s, &mut keys);
-        });
-        prop_assert!(keys.windows(2).all(|w| w[0] <= w[1]));
-    }
-
     /// Reductions agree with std.
     #[test]
     fn device_reduce_agrees(input in proptest::collection::vec(0u64..1 << 32, 0..2000)) {

@@ -9,11 +9,18 @@ use crate::codeword::Codeword;
 use crate::error::{HuffError, Result};
 
 /// An append-only MSB-first bit buffer.
+///
+/// Every append is word-level: a field of up to 64 bits is merged with
+/// the trailing partial byte in one accumulator (64-bit, or 128-bit when
+/// the two exceed 64 bits) and stored as bytes; [`push_words`] copies
+/// whole u32 words with one shift and merge each.
+///
+/// [`push_words`]: BitWriter::push_words
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
+    /// Written bytes; when `len_bits % 8 != 0` the last one holds the
+    /// trailing partial bits, MSB-aligned and zero-padded.
     buf: Vec<u8>,
-    /// Bits already written into the trailing partial byte (0..8).
-    partial_bits: u32,
     /// Total bits written.
     len_bits: u64,
 }
@@ -26,21 +33,18 @@ impl BitWriter {
 
     /// An empty writer with capacity for `bits` bits.
     pub fn with_capacity_bits(bits: usize) -> Self {
-        BitWriter { buf: Vec::with_capacity(bits.div_ceil(8)), partial_bits: 0, len_bits: 0 }
+        BitWriter { buf: Vec::with_capacity(bits.div_ceil(8)), len_bits: 0 }
+    }
+
+    /// Bits in the trailing partial byte (0..8).
+    fn fill(&self) -> u32 {
+        (self.len_bits % 8) as u32
     }
 
     /// Append one bit.
     #[inline]
     pub fn push_bit(&mut self, bit: bool) {
-        if self.partial_bits == 0 {
-            self.buf.push(0);
-        }
-        if bit {
-            let last = self.buf.last_mut().expect("partial byte exists");
-            *last |= 1 << (7 - self.partial_bits);
-        }
-        self.partial_bits = (self.partial_bits + 1) % 8;
-        self.len_bits += 1;
+        self.push_bits(u64::from(bit), 1);
     }
 
     /// Append the `len` low bits of `bits`, MSB of the field first.
@@ -48,32 +52,65 @@ impl BitWriter {
     pub fn push_bits(&mut self, bits: u64, len: u32) {
         debug_assert!(len <= 64);
         debug_assert!(len == 64 || bits >> len == 0);
-        let mut remaining = len;
-        while remaining > 0 {
-            let room = 8 - self.partial_bits;
-            let take = room.min(remaining);
-            let shift = remaining - take;
-            let field = ((bits >> shift) & ((1u64 << take) - 1)) as u8;
-            if self.partial_bits == 0 {
-                self.buf.push(0);
+        if len == 0 {
+            return;
+        }
+        let fill = self.fill();
+        let head = if fill > 0 { self.buf.pop().expect("partial byte") >> (8 - fill) } else { 0 };
+        // The partial byte's bits, then the field: at most 7 + 64 bits,
+        // MSB-aligned in the accumulator.
+        let total = fill + len;
+        if total <= 64 {
+            let acc = if fill == 0 { bits } else { (u64::from(head) << len) | bits };
+            let acc = acc << (64 - total);
+            for &b in &acc.to_be_bytes()[..total.div_ceil(8) as usize] {
+                self.buf.push(b);
             }
-            let last = self.buf.last_mut().expect("partial byte exists");
-            *last |= field << (room - take);
-            self.partial_bits = (self.partial_bits + take) % 8;
-            self.len_bits += u64::from(take);
-            remaining -= take;
+        } else {
+            let acc = ((u128::from(head) << len) | u128::from(bits)) << (128 - total);
+            self.buf.extend_from_slice(&acc.to_be_bytes()[..total.div_ceil(8) as usize]);
+        }
+        self.len_bits += u64::from(len);
+    }
+
+    /// Append the first `len` bits of `words`, MSB of `words[0]` first —
+    /// the coalescing copy of one chunk's u32 payload cells. Each whole
+    /// word costs one shift and merge with the carried partial byte.
+    ///
+    /// # Panics
+    /// Panics if `words` holds fewer than `len` bits.
+    pub fn push_words(&mut self, words: &[u32], len: u64) {
+        let full = (len / 32) as usize;
+        let tail = (len % 32) as u32;
+        let fill = self.fill();
+        // Exactly the bytes the finished append occupies, so a writer sized
+        // by `with_capacity_bits` never regrows.
+        let need = (self.len_bits + len).div_ceil(8) as usize;
+        self.buf.reserve(need.saturating_sub(self.buf.len()));
+        // The partial byte's bits, right-aligned, carried across words.
+        let mut carry = if fill > 0 {
+            u64::from(self.buf.pop().expect("partial byte") >> (8 - fill))
+        } else {
+            0
+        };
+        for &w in &words[..full] {
+            let acc = (carry << 32) | u64::from(w);
+            self.buf.extend_from_slice(&((acc >> fill) as u32).to_be_bytes());
+            carry = acc & ((1 << fill) - 1);
+        }
+        if fill > 0 {
+            self.buf.push((carry << (8 - fill)) as u8);
+        }
+        self.len_bits += 32 * full as u64;
+        if tail > 0 {
+            self.push_bits(u64::from(words[full] >> (32 - tail)), tail);
         }
     }
 
     /// Append a codeword.
     #[inline]
     pub fn push_code(&mut self, code: Codeword) {
-        if code.len() == 64 {
-            self.push_bits(code.bits() >> 32, 32);
-            self.push_bits(code.bits() & 0xFFFF_FFFF, 32);
-        } else {
-            self.push_bits(code.bits(), code.len());
-        }
+        self.push_bits(code.bits(), code.len());
     }
 
     /// Total bits written so far.
@@ -92,21 +129,26 @@ impl BitWriter {
         &self.buf
     }
 
-    /// Append another writer's content, preserving bit alignment.
+    /// Append another writer's content, preserving bit alignment: one
+    /// 64-bit field per eight bytes of `other`.
     pub fn append(&mut self, other: &BitWriter) {
         let mut remaining = other.len_bits;
-        for &byte in &other.buf {
-            let take = remaining.min(8) as u32;
-            if take == 0 {
-                break;
-            }
-            self.push_bits(u64::from(byte >> (8 - take)), take);
+        for chunk in other.buf.chunks(8) {
+            let take = remaining.min(64) as u32;
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.push_bits(u64::from_be_bytes(word) >> (64 - take), take);
             remaining -= u64::from(take);
         }
     }
 }
 
 /// An MSB-first bit cursor over a byte slice.
+///
+/// The reader keeps a 64-bit window of the stream bits at the cursor,
+/// refilled eight bytes at a time from the slice, so peeking, reading and
+/// skipping are O(1) shifts. Reads wider than the loaded part of the
+/// window assemble their bits straight from the slice.
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     buf: &'a [u8],
@@ -114,7 +156,17 @@ pub struct BitReader<'a> {
     pos: u64,
     /// Total readable bits.
     len_bits: u64,
+    /// The stream bits from `pos` on, MSB-aligned. The top `avail` are
+    /// loaded from `buf`; every lower bit is zero or the slice bit at its
+    /// place, so a refill can OR bytes in over them.
+    window: u64,
+    /// Loaded bits in `window`; `pos + avail` is always byte-aligned.
+    avail: u32,
 }
+
+/// Loaded window bits [`BitReader::window`] guarantees (short of the
+/// slice's end) — at least the widest decode table index.
+const WINDOW_BITS: u32 = 32;
 
 impl<'a> BitReader<'a> {
     /// A reader over `buf` exposing exactly `len_bits` bits.
@@ -128,7 +180,9 @@ impl<'a> BitReader<'a> {
             buf.len(),
             len_bits
         );
-        BitReader { buf, pos: 0, len_bits }
+        let mut reader = BitReader { buf, pos: 0, len_bits, window: 0, avail: 0 };
+        reader.refill();
+        reader
     }
 
     /// Bits remaining.
@@ -141,54 +195,120 @@ impl<'a> BitReader<'a> {
         self.pos
     }
 
+    /// The 64 stream bits at the cursor, MSB-aligned, topped up first so
+    /// that the top `min(32, remaining())` are exact. The rest are
+    /// unspecified (zero past the slice, or slice bits past `len_bits`).
+    #[inline]
+    pub(crate) fn window(&mut self) -> u64 {
+        if self.avail < WINDOW_BITS {
+            self.refill();
+        }
+        self.window
+    }
+
+    /// Top the window up to at least 57 loaded bits (fewer only when the
+    /// slice runs out).
+    #[inline]
+    fn refill(&mut self) {
+        if self.avail > 56 {
+            return;
+        }
+        let next = ((self.pos + u64::from(self.avail)) / 8) as usize;
+        match self.buf.get(next..next + 8) {
+            Some(bytes) => {
+                let raw = u64::from_be_bytes(bytes.try_into().expect("eight bytes"));
+                self.window |= raw >> self.avail;
+                self.avail += (64 - self.avail) & !7;
+            }
+            None => self.refill_tail(next),
+        }
+    }
+
+    /// [`refill`](Self::refill) within the slice's last eight bytes: one
+    /// byte at a time.
+    #[cold]
+    fn refill_tail(&mut self, next: usize) {
+        for &b in self.buf.get(next..).unwrap_or_default() {
+            if self.avail > 56 {
+                break;
+            }
+            self.window |= u64::from(b) << (56 - self.avail);
+            self.avail += 8;
+        }
+    }
+
+    /// Move the cursor `len <= remaining()` bits forward.
+    #[inline]
+    pub(crate) fn advance(&mut self, len: u64) {
+        debug_assert!(len <= self.remaining());
+        if len < u64::from(self.avail) {
+            self.window <<= len;
+            self.avail -= len as u32;
+            self.pos += len;
+        } else {
+            // Past the loaded bits: reload from the partial byte at `pos`.
+            self.pos += len;
+            let off = (self.pos % 8) as u32;
+            match self.buf.get((self.pos / 8) as usize) {
+                Some(&b) => {
+                    self.window = u64::from(b) << (56 + off);
+                    self.avail = 8 - off;
+                }
+                None => {
+                    self.window = 0;
+                    self.avail = 0;
+                }
+            }
+            self.refill();
+        }
+    }
+
     /// Read one bit.
     #[inline]
     pub fn read_bit(&mut self) -> Result<bool> {
-        if self.pos >= self.len_bits {
-            return Err(HuffError::CorruptStream("read past end of bitstream"));
-        }
-        let byte = self.buf[(self.pos / 8) as usize];
-        let bit = (byte >> (7 - (self.pos % 8))) & 1 == 1;
-        self.pos += 1;
-        Ok(bit)
+        Ok(self.read_bits(1)? == 1)
     }
 
     /// Read `len` bits MSB-first into the low bits of a `u64`.
+    #[inline]
     pub fn read_bits(&mut self, len: u32) -> Result<u64> {
-        debug_assert!(len <= 64);
-        if self.pos + u64::from(len) > self.len_bits {
-            return Err(HuffError::CorruptStream("read past end of bitstream"));
-        }
-        let mut out = 0u64;
-        let mut remaining = len;
-        while remaining > 0 {
-            let byte = self.buf[(self.pos / 8) as usize];
-            let offset = (self.pos % 8) as u32;
-            let avail = 8 - offset;
-            let take = avail.min(remaining);
-            let field = (byte >> (avail - take)) & ((1u16 << take) - 1) as u8;
-            out = (out << take) | u64::from(field);
-            self.pos += u64::from(take);
-            remaining -= take;
-        }
-        Ok(out)
+        let v = self.peek_bits(len)?;
+        self.advance(u64::from(len));
+        Ok(v)
     }
 
     /// Read `len` bits MSB-first without consuming them.
     ///
-    /// The multi-bit LUT decoder ([`crate::decode::lut`]) peeks a whole
-    /// window, looks the prefix up, then [`skip`](Self::skip)s only the
-    /// bits the matched codeword actually consumed.
+    /// The multi-bit LUT decoder ([`crate::decode::lut`]) probes the
+    /// window, looks the prefix up, then consumes only the bits the
+    /// matched codeword actually used.
+    #[inline]
     pub fn peek_bits(&self, len: u32) -> Result<u64> {
-        self.clone().read_bits(len)
+        debug_assert!(len <= 64);
+        if u64::from(len) > self.remaining() {
+            return Err(HuffError::CorruptStream("read past end of bitstream"));
+        }
+        if len == 0 {
+            return Ok(0);
+        }
+        if len <= self.avail {
+            return Ok(self.window >> (64 - len));
+        }
+        // Up to 64 bits at an unaligned cursor span up to nine bytes.
+        let first = (self.pos / 8) as usize;
+        let span = &self.buf[first..self.buf.len().min(first + 9)];
+        let mut bytes = [0u8; 16];
+        bytes[..span.len()].copy_from_slice(span);
+        let wide = u128::from_be_bytes(bytes) << (self.pos % 8);
+        Ok((wide >> (128 - len)) as u64)
     }
 
     /// Skip `len` bits.
     pub fn skip(&mut self, len: u64) -> Result<()> {
-        if self.pos + len > self.len_bits {
+        if len > self.remaining() {
             return Err(HuffError::CorruptStream("skip past end of bitstream"));
         }
-        self.pos += len;
+        self.advance(len);
         Ok(())
     }
 }
@@ -339,6 +459,40 @@ mod tests {
     #[should_panic(expected = "cannot hold")]
     fn reader_rejects_short_buffer() {
         let _ = BitReader::new(&[0u8; 1], 9);
+    }
+
+    #[test]
+    fn push_words_matches_bitwise_append_at_every_alignment() {
+        let words = [0xDEAD_BEEFu32, 0x0123_4567, 0xFFFF_FFFF, 0x8000_0001];
+        let bit = |i: u64| (words[(i / 32) as usize] >> (31 - i % 32)) & 1 == 1;
+        for lead in 0..9u32 {
+            for len in [0u64, 1, 7, 31, 32, 33, 64, 100, 128] {
+                let mut fast = BitWriter::new();
+                let mut slow = BitWriter::new();
+                fast.push_bits((1u64 << lead) - 1, lead);
+                slow.push_bits((1u64 << lead) - 1, lead);
+                fast.push_words(&words, len);
+                (0..len).for_each(|i| slow.push_bit(bit(i)));
+                assert_eq!(fast.finish(), slow.finish(), "lead {lead}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn wide_reads_at_unaligned_positions() {
+        let bytes: Vec<u8> = (0..24u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        let total = bytes.len() as u64 * 8;
+        let bit = |i: u64| u64::from((bytes[(i / 8) as usize] >> (7 - i % 8)) & 1);
+        for start in 0..20u64 {
+            for len in [1u32, 12, 56, 57, 58, 63, 64] {
+                let mut r = BitReader::new(&bytes, total);
+                r.skip(start).unwrap();
+                let want = (0..u64::from(len)).fold(0u64, |v, i| (v << 1) | bit(start + i));
+                assert_eq!(r.peek_bits(len).unwrap(), want, "start {start}, len {len}");
+                assert_eq!(r.read_bits(len).unwrap(), want, "start {start}, len {len}");
+                assert_eq!(r.position(), start + u64::from(len));
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! codebook — no tree traversal, `H`-bounded work per symbol, and a
 //! cache-friendly footprint of `O(H + n)` words (the property that lets
 //! the reverse codebook be cached on-chip for high decoding throughput).
+//! The host resolves most symbols with one probe of the decode table
+//! derived from those arrays ([`DecodeLut`]).
 
+use super::lut::{DecodeLut, DEFAULT_LUT_BITS};
 use crate::bitstream::BitReader;
 use crate::codebook::CanonicalCodebook;
 use crate::error::Result;
@@ -20,16 +23,15 @@ pub fn decode(
     decode_from(&mut reader, count, book)
 }
 
-/// Decode `count` symbols from an existing reader position.
+/// Decode `count` symbols from an existing reader position, one
+/// [`DecodeLut`] probe per symbol.
 pub fn decode_from(
     reader: &mut BitReader<'_>,
     count: usize,
     book: &CanonicalCodebook,
 ) -> Result<Vec<u16>> {
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(book.decode_symbol(|| reader.read_bit())?);
-    }
+    let mut out = vec![0; count];
+    DecodeLut::build(book, DEFAULT_LUT_BITS).decode_into(book, reader, &mut out)?;
     Ok(out)
 }
 

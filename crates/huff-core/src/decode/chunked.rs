@@ -2,10 +2,13 @@
 //!
 //! Chunking exists exactly to "facilitate the reverse process, decoding"
 //! (Section III-A): every chunk's bit offset is known from the prefix sum,
-//! so chunks decode independently in parallel. Breaking units are spliced
-//! back from the sparse sidecar at unit boundaries — a breaking unit
-//! contributed zero bits to the chunk payload, and its raw symbols replace
-//! the decode at that position.
+//! so chunks decode independently in parallel, each straight into its own
+//! slice of the output. Within a chunk a symbol costs one [`DecodeLut`]
+//! probe on the reader's 64-bit window; only codewords longer than the
+//! table (or cut by the stream end) fall back to the `First`/`Entry`
+//! walk. Breaking units are spliced back from the sparse sidecar at unit
+//! boundaries — a breaking unit contributed zero bits to the chunk
+//! payload, and its raw symbols replace the decode at that position.
 //!
 //! Chunk independence is also what makes *recovery* possible: when a
 //! chunk's payload bytes are damaged (see [`crate::integrity`]), every
@@ -15,6 +18,7 @@
 //! in the header sidecar and survive payload damage) while intact chunks
 //! decode normally.
 
+use super::lut::{DecodeLut, DEFAULT_LUT_BITS};
 use crate::bitstream::BitReader;
 use crate::codebook::CanonicalCodebook;
 use crate::encode::ChunkedStream;
@@ -22,77 +26,123 @@ use crate::error::{HuffError, Result};
 use crate::integrity::RecoveryReport;
 use rayon::prelude::*;
 
-/// Decode chunk `ci` of `stream` to symbols.
-pub(crate) fn decode_chunk(
-    stream: &ChunkedStream,
-    book: &CanonicalCodebook,
+/// Walk chunk `ci`'s output `out` in order as runs: each maximal run of
+/// coded units is handed to `visit` with `None`, each breaking unit with
+/// its raw symbols from the sparse sidecar. The sidecar is searched once
+/// per chunk, then walked linearly.
+pub(crate) fn for_each_run<'s>(
+    stream: &'s ChunkedStream,
     ci: usize,
-) -> Result<Vec<u16>> {
-    let chunk_syms = stream.config.chunk_symbols();
+    out: &mut [u16],
+    mut visit: impl FnMut(&mut [u16], Option<&'s [u16]>) -> Result<()>,
+) -> Result<()> {
     let unit_syms = stream.config.unit_symbols().max(1);
-    let units_per_chunk = stream.config.units_per_chunk() as u64;
-
-    let sym_base = ci * chunk_syms;
-    let sym_count = chunk_syms.min(stream.num_symbols.saturating_sub(sym_base));
-    let mut reader = BitReader::new(&stream.bytes, stream.total_bits);
-    reader.skip(stream.chunk_bit_offsets[ci])?;
-
-    let mut out = Vec::with_capacity(sym_count);
-    let n_units = sym_count.div_ceil(unit_syms);
-    for u in 0..n_units {
-        let global_unit = ci as u64 * units_per_chunk + u as u64;
-        let in_unit = unit_syms.min(sym_count - u * unit_syms);
-        if let Some(raw) = stream.outliers.lookup(global_unit) {
-            if raw.len() != in_unit {
-                return Err(HuffError::CorruptStream("outlier unit length mismatch"));
-            }
-            out.extend_from_slice(raw);
-        } else {
-            for _ in 0..in_unit {
-                out.push(book.decode_symbol(|| reader.read_bit())?);
-            }
+    let first = ci as u64 * stream.config.units_per_chunk() as u64;
+    let end = first + out.len().div_ceil(unit_syms) as u64;
+    let mut k = stream.outliers.rank(first);
+    let mut at = 0;
+    loop {
+        let next = stream.outliers.unit(k).filter(|&(idx, _)| idx < end);
+        let run_end = next.map_or(out.len(), |(idx, _)| (idx - first) as usize * unit_syms);
+        if run_end > at {
+            visit(&mut out[at..run_end], None)?;
         }
+        let Some((_, raw)) = next else {
+            return Ok(());
+        };
+        at = (run_end + unit_syms).min(out.len());
+        visit(&mut out[run_end..at], Some(raw))?;
+        k += 1;
     }
-    Ok(out)
 }
 
-/// Decode a chunked stream back to symbols.
-pub fn decode(stream: &ChunkedStream, book: &CanonicalCodebook) -> Result<Vec<u16>> {
-    let parts: Vec<Result<Vec<u16>>> =
-        (0..stream.num_chunks()).into_par_iter().map(|ci| decode_chunk(stream, book, ci)).collect();
-
-    let mut out = Vec::with_capacity(stream.num_symbols);
-    for p in parts {
-        out.extend_from_slice(&p?);
-    }
-    if out.len() != stream.num_symbols {
+/// The zeroed output of a strict decode, once the chunk table is known to
+/// cover `num_symbols`.
+pub(crate) fn strict_output(stream: &ChunkedStream) -> Result<Vec<u16>> {
+    let covered = (stream.num_chunks() as u64).saturating_mul(stream.config.chunk_symbols() as u64);
+    if covered < stream.num_symbols as u64 {
         return Err(HuffError::CorruptStream("decoded count disagrees with header"));
     }
-    Ok(out)
+    Ok(vec![0; stream.num_symbols])
+}
+
+/// Decode chunk `ci` of `stream` into `out`, its output symbols. A chunk
+/// past the symbol count gets an empty `out`: it decodes nothing, but its
+/// offset must still lie inside the payload.
+fn decode_chunk(
+    stream: &ChunkedStream,
+    book: &CanonicalCodebook,
+    lut: &DecodeLut,
+    ci: usize,
+    out: &mut [u16],
+) -> Result<()> {
+    if (stream.bytes.len() as u64).saturating_mul(8) < stream.total_bits {
+        return Err(HuffError::CorruptStream("payload shorter than its bit length"));
+    }
+    let mut reader = BitReader::new(&stream.bytes, stream.total_bits);
+    reader.skip(stream.chunk_bit_offsets[ci])?;
+    for_each_run(stream, ci, out, |run, raw| match raw {
+        Some(raw) if raw.len() != run.len() => {
+            Err(HuffError::CorruptStream("outlier unit length mismatch"))
+        }
+        Some(raw) => {
+            run.copy_from_slice(raw);
+            Ok(())
+        }
+        None => lut.decode_into(book, &mut reader, run),
+    })
+}
+
+/// Decode a chunked stream back to symbols, one worker per chunk.
+pub fn decode(stream: &ChunkedStream, book: &CanonicalCodebook) -> Result<Vec<u16>> {
+    decode_all(stream, book, true)
 }
 
 /// Decode a chunked stream on a single thread, chunk by chunk — the
-/// bit-serial baseline the paper's decoders are measured against. Output
-/// is bit-exact with [`decode`] (and with [`crate::decode::lut::decode`]).
+/// serial baseline the paper's decoders are measured against. Output is
+/// bit-exact with [`decode`] (and with [`crate::decode::lut::decode`]).
 pub fn decode_serial(stream: &ChunkedStream, book: &CanonicalCodebook) -> Result<Vec<u16>> {
-    let mut out = Vec::with_capacity(stream.num_symbols);
-    for ci in 0..stream.num_chunks() {
-        out.extend_from_slice(&decode_chunk(stream, book, ci)?);
+    decode_all(stream, book, false)
+}
+
+/// Strict decode of every chunk, fanned out over rayon when `parallel`.
+fn decode_all(
+    stream: &ChunkedStream,
+    book: &CanonicalCodebook,
+    parallel: bool,
+) -> Result<Vec<u16>> {
+    let lut = DecodeLut::build(book, DEFAULT_LUT_BITS);
+    let mut out = strict_output(stream)?;
+    let chunk_syms = stream.config.chunk_symbols();
+    let chunk = |(ci, o): (usize, &mut [u16])| decode_chunk(stream, book, &lut, ci, o);
+    if parallel {
+        out.par_chunks_mut(chunk_syms).enumerate().try_for_each(chunk)?;
+    } else {
+        out.chunks_mut(chunk_syms).enumerate().try_for_each(chunk)?;
     }
-    if out.len() != stream.num_symbols {
-        return Err(HuffError::CorruptStream("decoded count disagrees with header"));
+    for ci in out.len().div_ceil(chunk_syms)..stream.num_chunks() {
+        chunk((ci, &mut []))?;
     }
     Ok(out)
 }
 
-/// (symbols, chunk-local lost ranges, was_damaged) per chunk.
-pub(crate) type ChunkPart = (Vec<u16>, Vec<(usize, usize)>, bool);
+/// Append chunk-local `lost` ranges of the chunk starting at symbol
+/// `base` to `report`, merging runs that meet across chunk boundaries.
+fn report_lost(report: &mut RecoveryReport, base: usize, lost: &[(usize, usize)]) {
+    for &(s, e) in lost {
+        report.symbols_lost += e - s;
+        match report.damaged_ranges.last_mut() {
+            Some(last) if last.1 == base + s => last.1 = base + e,
+            _ => report.damaged_ranges.push((base + s, base + e)),
+        }
+    }
+}
 
 /// The best-effort skeleton shared by every decoder backend: decode each
-/// chunk with `decode_one` unless it is marked damaged (or its decode
-/// fails), sentinel-filling what is lost, then stitch the parts and the
-/// damage report together. `parallel` selects rayon fan-out vs. a
-/// single-thread loop (the `serial` decoder).
+/// chunk into its slice of the output with `decode_one` unless it is
+/// marked damaged (or its decode fails), sentinel-filling what is lost,
+/// then stitch the damage report together. `parallel` selects rayon
+/// fan-out vs. a single-thread loop (the `serial` decoder).
 pub(crate) fn decode_best_effort_with<F>(
     stream: &ChunkedStream,
     damaged: &[bool],
@@ -101,81 +151,65 @@ pub(crate) fn decode_best_effort_with<F>(
     decode_one: F,
 ) -> (Vec<u16>, RecoveryReport)
 where
-    F: Fn(usize) -> Result<Vec<u16>> + Sync,
+    F: Fn(usize, &mut [u16]) -> Result<()> + Sync,
 {
     let n_chunks = stream.num_chunks();
-    let decode_part = |ci: usize| -> ChunkPart {
-        let marked = damaged.get(ci).copied().unwrap_or(false);
-        if !marked {
-            if let Ok(syms) = decode_one(ci) {
-                return (syms, Vec::new(), false);
-            }
-        }
-        let (syms, lost) = fill_damaged_chunk(stream, ci, sentinel);
-        (syms, lost, true)
-    };
-    let parts: Vec<ChunkPart> = if parallel {
-        (0..n_chunks).into_par_iter().map(decode_part).collect()
-    } else {
-        (0..n_chunks).map(decode_part).collect()
-    };
-
     let chunk_syms = stream.config.chunk_symbols();
-    let mut symbols = Vec::with_capacity(stream.num_symbols);
-    let mut report = RecoveryReport::clean(n_chunks);
-    for (ci, (part, lost, was_damaged)) in parts.into_iter().enumerate() {
-        let base = ci * chunk_syms;
-        if was_damaged {
-            report.damaged_chunks.push(ci);
-            for (s, e) in lost {
-                report.symbols_lost += e - s;
-                // Merge across chunk boundaries when runs are adjacent.
-                match report.damaged_ranges.last_mut() {
-                    Some(last) if last.1 == base + s => last.1 = base + e,
-                    _ => report.damaged_ranges.push((base + s, base + e)),
-                }
-            }
+    let mut symbols = vec![0; stream.num_symbols.min(n_chunks.saturating_mul(chunk_syms))];
+    // Per chunk: the chunk-local lost ranges, or `None` when it decoded.
+    let recover = |(ci, out): (usize, &mut [u16])| -> Option<Vec<(usize, usize)>> {
+        let marked = damaged.get(ci).copied().unwrap_or(false);
+        if !marked && decode_one(ci, out).is_ok() {
+            return None;
         }
-        symbols.extend_from_slice(&part);
+        Some(fill_damaged_chunk(stream, ci, sentinel, out))
+    };
+    let mut parts: Vec<Option<Vec<(usize, usize)>>> = if parallel {
+        symbols.par_chunks_mut(chunk_syms).enumerate().map(recover).collect()
+    } else {
+        symbols.chunks_mut(chunk_syms).enumerate().map(recover).collect()
+    };
+    parts.extend((parts.len()..n_chunks).map(|ci| recover((ci, &mut []))));
+
+    let mut report = RecoveryReport::clean(n_chunks);
+    for (ci, lost) in parts.iter().enumerate() {
+        if let Some(lost) = lost {
+            report.damaged_chunks.push(ci);
+            report_lost(&mut report, ci * chunk_syms, lost);
+        }
     }
     (symbols, report)
 }
 
-/// The sentinel fill for one damaged chunk: breaking units come back
-/// exactly from the sidecar, everything else becomes `sentinel`. Returns
-/// the chunk's symbols plus the `[start, end)` *chunk-local* ranges that
-/// were sentinel-filled.
+/// The sentinel fill for one damaged chunk, written into `out` (its
+/// output symbols): breaking units come back exactly from the sidecar,
+/// everything else becomes `sentinel`. Returns the `[start, end)`
+/// *chunk-local* ranges that were sentinel-filled.
 pub(crate) fn fill_damaged_chunk(
     stream: &ChunkedStream,
     ci: usize,
     sentinel: u16,
-) -> (Vec<u16>, Vec<(usize, usize)>) {
-    let chunk_syms = stream.config.chunk_symbols();
-    let unit_syms = stream.config.unit_symbols().max(1);
-    let units_per_chunk = stream.config.units_per_chunk() as u64;
-    let sym_base = ci * chunk_syms;
-    let sym_count = chunk_syms.min(stream.num_symbols.saturating_sub(sym_base));
-
-    let mut out = Vec::with_capacity(sym_count);
+    out: &mut [u16],
+) -> Vec<(usize, usize)> {
     let mut lost: Vec<(usize, usize)> = Vec::new();
-    let n_units = sym_count.div_ceil(unit_syms);
-    for u in 0..n_units {
-        let global_unit = ci as u64 * units_per_chunk + u as u64;
-        let in_unit = unit_syms.min(sym_count - u * unit_syms);
-        match stream.outliers.lookup(global_unit) {
-            Some(raw) if raw.len() == in_unit => out.extend_from_slice(raw),
+    let mut start = 0;
+    for_each_run(stream, ci, out, |run, raw| {
+        match raw {
+            Some(raw) if raw.len() == run.len() => run.copy_from_slice(raw),
             _ => {
-                let start = out.len();
-                out.resize(out.len() + in_unit, sentinel);
+                run.fill(sentinel);
                 // Merge with the previous run when adjacent.
                 match lost.last_mut() {
-                    Some(last) if last.1 == start => last.1 = start + in_unit,
-                    _ => lost.push((start, start + in_unit)),
+                    Some(last) if last.1 == start => last.1 = start + run.len(),
+                    _ => lost.push((start, start + run.len())),
                 }
             }
         }
-    }
-    (out, lost)
+        start += run.len();
+        Ok(())
+    })
+    .expect("the fill visitor never fails");
+    lost
 }
 
 /// Decode every chunk not marked in `damaged` (and every marked chunk's
@@ -190,7 +224,10 @@ pub fn decode_best_effort(
     damaged: &[bool],
     sentinel: u16,
 ) -> (Vec<u16>, RecoveryReport) {
-    decode_best_effort_with(stream, damaged, sentinel, true, |ci| decode_chunk(stream, book, ci))
+    let lut = DecodeLut::build(book, DEFAULT_LUT_BITS);
+    decode_best_effort_with(stream, damaged, sentinel, true, |ci, out| {
+        decode_chunk(stream, book, &lut, ci, out)
+    })
 }
 
 /// Single-thread variant of [`decode_best_effort`]: same output, same
@@ -201,7 +238,10 @@ pub fn decode_serial_best_effort(
     damaged: &[bool],
     sentinel: u16,
 ) -> (Vec<u16>, RecoveryReport) {
-    decode_best_effort_with(stream, damaged, sentinel, false, |ci| decode_chunk(stream, book, ci))
+    let lut = DecodeLut::build(book, DEFAULT_LUT_BITS);
+    decode_best_effort_with(stream, damaged, sentinel, false, |ci, out| {
+        decode_chunk(stream, book, &lut, ci, out)
+    })
 }
 
 /// The report [`decode_best_effort`] *would* produce for `damaged`,
@@ -214,15 +254,9 @@ pub fn damage_report(stream: &ChunkedStream, damaged: &[bool]) -> RecoveryReport
             continue;
         }
         report.damaged_chunks.push(ci);
-        let (_, lost) = fill_damaged_chunk(stream, ci, 0);
         let base = ci * chunk_syms;
-        for (s, e) in lost {
-            report.symbols_lost += e - s;
-            match report.damaged_ranges.last_mut() {
-                Some(last) if last.1 == base + s => last.1 = base + e,
-                _ => report.damaged_ranges.push((base + s, base + e)),
-            }
-        }
+        let mut out = vec![0; chunk_syms.min(stream.num_symbols.saturating_sub(base))];
+        report_lost(&mut report, base, &fill_damaged_chunk(stream, ci, 0, &mut out));
     }
     report
 }

@@ -1,19 +1,20 @@
 //! Second-generation decoder: multi-bit LUT decoding with subchunk
 //! self-synchronization (the gap array).
 //!
-//! The bit-serial decoders ([`super::canonical`], [`super::chunked`])
-//! consume one bit per `First`/`Entry` probe, so a symbol costs
-//! `code-length` dependent steps. Rivera et al. 2022 ("Optimizing Huffman
-//! Decoding for Error-Bounded Lossy Compression on GPUs", the companion
-//! to the source paper) replace that walk with two ideas this module
-//! reproduces:
+//! A bit-serial decoder consumes one bit per `First`/`Entry` probe, so a
+//! symbol costs `code-length` dependent steps; the device's chunked and
+//! serial kernels are priced that way ([`super::gpu`]). Rivera et al. 2022
+//! ("Optimizing Huffman Decoding for Error-Bounded Lossy Compression on
+//! GPUs", the companion to the source paper) replace that walk with two
+//! ideas this module reproduces:
 //!
 //! 1. **Decode LUT** ([`DecodeLut`]): a table indexed by the next
 //!    `L = min(max_len, 12)` stream bits whose entry yields the decoded
 //!    symbol *and* the consumed codeword length in one probe. Codewords
 //!    longer than `L` bits hit a slow-path marker and fall back to the
 //!    bit-serial walk — rare by construction, since canonical Huffman
-//!    assigns short codes to frequent symbols.
+//!    assigns short codes to frequent symbols. On the host this probe is
+//!    the symbol step of *every* backend ([`DecodeLut::decode_symbol`]).
 //! 2. **Subchunk gap array**: each chunk's payload is cut into fixed-width
 //!    bit subsequences. Huffman streams self-synchronize: stepping
 //!    codeword lengths from *any* correct boundary reaches the next
@@ -104,30 +105,63 @@ impl DecodeLut {
         }
     }
 
-    /// Decode one symbol from `reader`: peek up to `L` bits, probe, and
-    /// skip only the consumed length. Falls back to the bit-serial
-    /// `First`/`Entry` walk when the codeword is longer than the table or
-    /// fewer than its length bits remain — the fall-back also reports
-    /// truncation precisely.
-    #[inline]
+    /// Fill `out` with the next `out.len()` symbols of `reader` — the
+    /// inner loop of every host decoder. The reader is copied into a local
+    /// for the loop, so its window stays in registers.
+    pub(crate) fn decode_into(
+        &self,
+        book: &CanonicalCodebook,
+        reader: &mut BitReader<'_>,
+        out: &mut [u16],
+    ) -> Result<()> {
+        let mut local = reader.clone();
+        let mut result = Ok(());
+        for slot in out.iter_mut() {
+            match self.decode_symbol(book, &mut local) {
+                Ok(sym) => *slot = sym,
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            }
+        }
+        *reader = local;
+        result
+    }
+
+    /// Decode one symbol from `reader` — the symbol step of every host
+    /// decoder: probe the table with the top `L` bits of the reader's
+    /// window and consume only the matched codeword's length. Falls back
+    /// to the bit-serial `First`/`Entry` walk when the codeword is longer
+    /// than the table or fewer than its length bits remain — the fall-back
+    /// also reports truncation precisely. A probe hit is exactly the
+    /// walk's answer: prefix-freeness makes the matched codeword the only
+    /// one that is a prefix of the remaining bits.
+    #[inline(always)]
     pub fn decode_symbol(
         &self,
         book: &CanonicalCodebook,
         reader: &mut BitReader<'_>,
     ) -> Result<u16> {
-        let avail = reader.remaining().min(u64::from(self.bits)) as u32;
-        if avail > 0 {
-            // MSB-align a short window so the prefix indexes correctly.
-            let window = reader.peek_bits(avail)? << (self.bits - avail);
-            if let Some((sym, len)) = self.lookup(window) {
-                if len <= avail {
-                    reader.skip(u64::from(len))?;
-                    return Ok(sym);
-                }
-            }
+        let e = self.entries[(reader.window() >> (64 - self.bits)) as usize];
+        let len = e >> 16;
+        if len != 0 && u64::from(len) <= reader.remaining() {
+            reader.advance(u64::from(len));
+            return Ok(e as u16);
         }
-        book.decode_symbol(|| reader.read_bit())
+        let (sym, moved) = walk(book, reader.clone());
+        *reader = moved;
+        sym
     }
+}
+
+/// The table miss: the bit-serial `First`/`Entry` walk, kept out of line
+/// so the probe loop stays small. It takes and returns the reader by
+/// value, so a caller's reader never escapes and can live in registers.
+#[cold]
+#[inline(never)]
+fn walk<'a>(book: &CanonicalCodebook, mut reader: BitReader<'a>) -> (Result<u16>, BitReader<'a>) {
+    (book.decode_symbol(|| reader.read_bit()), reader)
 }
 
 /// Subchunk geometry for the gap-array sync pass.
@@ -184,9 +218,11 @@ impl GapStats {
 }
 
 /// Walk codeword lengths from a candidate boundary `gap` until the first
-/// boundary at or past `end`. `None` when the speculative walk fails
-/// (wrong guess landed mid-codeword on garbage) — corrected by a later
-/// pass once the left neighbor's gap is exact.
+/// boundary at or past `end`, writing the decoded symbols to `walked`.
+/// Returns that boundary and the symbol count. Fails when the speculative
+/// walk fails (wrong guess landed mid-codeword on garbage) — corrected by
+/// a later pass once the left neighbor's gap is exact.
+#[allow(clippy::too_many_arguments)] // internal helper mirroring the kernel signature
 fn sync_exit(
     bytes: &[u8],
     limit_bits: u64,
@@ -194,20 +230,21 @@ fn sync_exit(
     end: u64,
     book: &CanonicalCodebook,
     lut: &DecodeLut,
+    walked: &mut [u16],
     stats: &mut GapStats,
-) -> Option<u64> {
+) -> Result<(u64, usize)> {
     if gap >= end {
-        return Some(gap);
+        return Ok((gap, 0));
     }
     let mut reader = BitReader::new(bytes, limit_bits);
-    reader.skip(gap).ok()?;
-    let mut pos = gap;
-    while pos < end {
+    reader.skip(gap)?;
+    let mut n = 0;
+    while reader.position() < end {
         stats.sync_steps += 1;
-        lut.decode_symbol(book, &mut reader).ok()?;
-        pos = reader.position();
+        walked[n] = lut.decode_symbol(book, &mut reader)?;
+        n += 1;
     }
-    Some(pos)
+    Ok((reader.position(), n))
 }
 
 /// Wrap a low-level decode failure with the gap-array position it struck,
@@ -261,14 +298,22 @@ fn decode_span(
     // gaps are exact (induction on the chunk's real boundary chain), so
     // the fixpoint arrives in at most n_sub passes; the cap below turns a
     // non-converging (corrupt) stream into an error instead of a loop.
+    // Every walk of subsequence `i` starts at or after its first bit and
+    // stops at the first boundary past its last, so it decodes at most
+    // one symbol per bit of the subsequence: its slot of `walked` holds
+    // the symbols of its latest walk.
+    let slot = |i: usize| (i as u64 * w) as usize..(sub_end(i) - off) as usize;
+    let mut walked = vec![0u16; len as usize];
     let mut gaps: Vec<u64> = (0..n_sub).map(|i| off + i as u64 * w).collect();
-    let mut exits: Vec<Option<u64>> = vec![None; n_sub];
+    let mut walks: Vec<Result<(u64, usize)>> = (0..n_sub).map(|_| Ok((0, 0))).collect();
     let mut dirty = vec![true; n_sub];
     let mut passes = 0u64;
     loop {
         for i in 0..n_sub {
             if std::mem::take(&mut dirty[i]) {
-                exits[i] = sync_exit(bytes, end_bits, gaps[i], sub_end(i), book, lut, stats);
+                let (gap, end) = (gaps[i], sub_end(i));
+                let to = &mut walked[slot(i)];
+                walks[i] = sync_exit(bytes, end_bits, gap, end, book, lut, to, stats);
             }
         }
         passes += 1;
@@ -276,7 +321,7 @@ fn decode_span(
         for i in 0..n_sub - 1 {
             // A failed speculative walk proposes the subsequence boundary
             // itself until a later pass corrects it.
-            let proposal = exits[i].unwrap_or_else(|| sub_end(i));
+            let proposal = walks[i].as_ref().map_or(sub_end(i), |&(exit, _)| exit);
             if gaps[i + 1] != proposal {
                 gaps[i + 1] = proposal;
                 dirty[i + 1] = true;
@@ -298,43 +343,35 @@ fn decode_span(
     }
     stats.max_sync_passes = stats.max_sync_passes.max(passes);
 
-    // Decode pass: each subsequence decodes the codewords *starting* in
-    // [gap, sub_end); the codeword straddling its right edge belongs to it,
-    // which is exactly where the next subsequence's gap points. Compaction
-    // concatenates, so the union is the chunk's serial decode, bit-exactly.
+    // Decode pass: each subsequence owns the codewords *starting* in
+    // [gap, sub_end); the codeword straddling its right edge belongs to
+    // it, which is exactly where the next subsequence's gap points. At the
+    // fixpoint every subsequence's last sync walk started at its final
+    // gap, so that walk's symbols are its decode; compaction concatenates
+    // them, and the union is the chunk's serial decode, bit-exactly.
     let mut out: Vec<u16> = Vec::new();
-    for (i, &gap) in gaps.iter().enumerate().take(n_sub) {
-        let end = sub_end(i);
-        if gap >= end {
-            continue; // one codeword spans this whole subsequence
-        }
-        let mut reader = BitReader::new(bytes, end_bits);
-        reader.skip(gap).map_err(|e| gap_err(ci, i, gap, &e))?;
-        while reader.position() < end {
-            out.push(lut.decode_symbol(book, &mut reader).map_err(|e| gap_err(ci, i, gap, &e))?);
+    for (i, walk) in walks.iter().enumerate() {
+        match walk {
+            Ok((_, n)) => out.extend_from_slice(&walked[slot(i)][..*n]),
+            Err(e) => return Err(gap_err(ci, i, gaps[i], e)),
         }
     }
     stats.decoded_symbols += out.len() as u64;
     Ok(out)
 }
 
-/// Decode chunk `ci` via the gap array, splicing breaking units back from
-/// the sparse sidecar at unit boundaries (same contract as
-/// [`chunked::decode`]'s per-chunk step).
+/// Decode chunk `ci` via the gap array into `out` (its output symbols),
+/// splicing breaking units back from the sparse sidecar at unit
+/// boundaries (same contract as [`chunked::decode`]'s per-chunk step).
 pub(crate) fn decode_chunk(
     stream: &ChunkedStream,
     book: &CanonicalCodebook,
     lut: &DecodeLut,
     cfg: SubchunkConfig,
     ci: usize,
+    out: &mut [u16],
     stats: &mut GapStats,
-) -> Result<Vec<u16>> {
-    let chunk_syms = stream.config.chunk_symbols();
-    let unit_syms = stream.config.unit_symbols().max(1);
-    let units_per_chunk = stream.config.units_per_chunk() as u64;
-    let sym_base = ci * chunk_syms;
-    let sym_count = chunk_syms.min(stream.num_symbols.saturating_sub(sym_base));
-
+) -> Result<()> {
     let off = stream.chunk_bit_offsets[ci];
     let len = stream.chunk_bit_lens[ci];
     if off.checked_add(len).is_none_or(|e| e > stream.total_bits) {
@@ -342,30 +379,27 @@ pub(crate) fn decode_chunk(
     }
     let coded = decode_span(&stream.bytes, off, len, book, lut, cfg, ci, stats)?;
 
-    let mut out = Vec::with_capacity(sym_count);
-    let mut taken = 0usize;
-    let n_units = sym_count.div_ceil(unit_syms);
-    for u in 0..n_units {
-        let global_unit = ci as u64 * units_per_chunk + u as u64;
-        let in_unit = unit_syms.min(sym_count - u * unit_syms);
-        if let Some(raw) = stream.outliers.lookup(global_unit) {
-            if raw.len() != in_unit {
+    let count_err = || HuffError::CorruptStream("decoded count disagrees with header");
+    let mut rest = coded.as_slice();
+    chunked::for_each_run(stream, ci, out, |unit, raw| {
+        let src = match raw {
+            Some(raw) if raw.len() != unit.len() => {
                 return Err(HuffError::CorruptStream("outlier unit length mismatch"));
             }
-            out.extend_from_slice(raw);
-        } else {
-            let next = taken + in_unit;
-            if next > coded.len() {
-                return Err(HuffError::CorruptStream("decoded count disagrees with header"));
+            Some(raw) => raw,
+            None => {
+                let (head, tail) = rest.split_at_checked(unit.len()).ok_or_else(count_err)?;
+                rest = tail;
+                head
             }
-            out.extend_from_slice(&coded[taken..next]);
-            taken = next;
-        }
+        };
+        unit.copy_from_slice(src);
+        Ok(())
+    })?;
+    if !rest.is_empty() {
+        return Err(count_err());
     }
-    if taken != coded.len() {
-        return Err(HuffError::CorruptStream("decoded count disagrees with header"));
-    }
-    Ok(out)
+    Ok(())
 }
 
 /// Decode a chunked stream with the default LUT width and subchunk
@@ -376,33 +410,27 @@ pub fn decode(stream: &ChunkedStream, book: &CanonicalCodebook) -> Result<Vec<u1
 }
 
 /// Decode with explicit LUT and subchunk geometry, returning the work
-/// counters alongside the symbols (chunks decode in parallel; counters
-/// are merged).
+/// counters alongside the symbols (chunks decode in parallel, each into
+/// its slice of the output; counters are merged).
 pub fn decode_with(
     stream: &ChunkedStream,
     book: &CanonicalCodebook,
     lut: &DecodeLut,
     cfg: SubchunkConfig,
 ) -> Result<(Vec<u16>, GapStats)> {
-    type ChunkOut = Result<(Vec<u16>, GapStats)>;
-    let parts: Vec<ChunkOut> = (0..stream.num_chunks())
-        .into_par_iter()
-        .map(|ci| {
-            let mut st = GapStats::default();
-            decode_chunk(stream, book, lut, cfg, ci, &mut st).map(|v| (v, st))
-        })
-        .collect();
-
-    let mut out = Vec::with_capacity(stream.num_symbols);
+    let mut out = chunked::strict_output(stream)?;
+    let chunk_syms = stream.config.chunk_symbols();
+    let chunk = |(ci, o): (usize, &mut [u16])| {
+        let mut st = GapStats::default();
+        decode_chunk(stream, book, lut, cfg, ci, o, &mut st).map(|()| st)
+    };
+    let mut parts: Vec<GapStats> =
+        out.par_chunks_mut(chunk_syms).enumerate().map(chunk).collect::<Result<_>>()?;
+    for ci in out.len().div_ceil(chunk_syms)..stream.num_chunks() {
+        parts.push(chunk((ci, &mut []))?);
+    }
     let mut stats = GapStats::default();
-    for p in parts {
-        let (part, st) = p?;
-        out.extend_from_slice(&part);
-        stats.absorb(&st);
-    }
-    if out.len() != stream.num_symbols {
-        return Err(HuffError::CorruptStream("decoded count disagrees with header"));
-    }
+    parts.iter().for_each(|st| stats.absorb(st));
     Ok((out, stats))
 }
 
@@ -429,9 +457,8 @@ pub fn decode_best_effort_with(
     damaged: &[bool],
     sentinel: u16,
 ) -> (Vec<u16>, RecoveryReport) {
-    chunked::decode_best_effort_with(stream, damaged, sentinel, true, |ci| {
-        let mut st = GapStats::default();
-        decode_chunk(stream, book, lut, cfg, ci, &mut st)
+    chunked::decode_best_effort_with(stream, damaged, sentinel, true, |ci, out| {
+        decode_chunk(stream, book, lut, cfg, ci, out, &mut GapStats::default())
     })
 }
 

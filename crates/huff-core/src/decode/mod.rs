@@ -14,6 +14,12 @@
 //!
 //! All backends are bit-exact with each other; [`DecoderKind`] selects
 //! one, and [`decode_stream`] / [`decode_stream_best_effort`] dispatch.
+//! On the host every backend decodes a symbol the same way: one
+//! [`lut::DecodeLut`] probe on the bit reader's 64-bit window, with the
+//! `First`/`Entry` walk only for codewords longer than the table. The
+//! backends differ in how they split the stream and in the device ledger
+//! ([`gpu`]) that prices them; the ledgers depend only on the stream's
+//! shape, never on how the host decoded it.
 
 pub mod canonical;
 pub mod chunked;
@@ -63,10 +69,16 @@ impl DecodeShape {
 /// output; they differ in parallelism and modeled device cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DecoderKind {
-    /// Single-thread bit-serial decode, chunk by chunk — the baseline.
+    /// Single-thread decode, chunk by chunk — the baseline. The host runs
+    /// the table-driven core of [`lut::DecodeLut::decode_symbol`] (one
+    /// table probe per symbol); [`gpu::serial_ledger`] prices it as one
+    /// device thread walking the whole stream bit-serially, one dependent
+    /// probe chain per symbol.
     Serial,
-    /// One worker per chunk, bit-serial within the chunk (the original
-    /// kernel shape).
+    /// One worker per chunk, each decoding straight into its slice of the
+    /// output. The host runs the same table-driven core as `Serial`;
+    /// [`gpu::chunked_ledger`] prices the original kernel shape, one block
+    /// per chunk walking its substream bit-serially.
     #[default]
     Chunked,
     /// Multi-bit LUT probes plus subchunk gap-array self-synchronization

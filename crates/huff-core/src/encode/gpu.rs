@@ -15,10 +15,10 @@
 //! Under the default [`KernelPlan::Fused`] the decomposition is tighter
 //! (DESIGN.md § "Kernel fusion"): the `enc_blockwise_len` prefix sum runs
 //! as a decoupled-lookback epilogue *inside* `enc_shuffle_merge`
-//! ([`gpu_sim::prefix::single_pass_scan`] — no launch, no grid syncs), and
-//! `enc_breaking_backtrace` emits its sparse sidecar via warp-aggregated
-//! compaction (ballot + block-local scan + one coalesced segment write)
-//! instead of per-unit random scatter. Either way the returned stream is
+//! ([`gpu_sim::prefix::single_pass_scan_traffic`] — no launch, no grid
+//! syncs), and `enc_breaking_backtrace` emits its sparse sidecar via
+//! warp-aggregated compaction (ballot + block-local scan + one coalesced
+//! segment write) instead of per-unit random scatter. Either way the returned stream is
 //! bit-identical — the plan only changes the modeled launch/traffic shape.
 //!
 //! `symbol_bytes` is the dataset's native symbol width (1 for the

@@ -137,15 +137,7 @@ pub fn assemble(
 
     let mut writer = BitWriter::with_capacity_bits(total_bits as usize);
     for c in chunks {
-        let mut remaining = c.bit_len;
-        for &w in &c.words {
-            if remaining == 0 {
-                break;
-            }
-            let take = remaining.min(32) as u32;
-            writer.push_bits(u64::from(w) >> (32 - take), take);
-            remaining -= u64::from(take);
-        }
+        writer.push_words(&c.words, c.bit_len);
     }
     let (bytes, written) = writer.finish();
     debug_assert_eq!(written, total_bits);

@@ -27,9 +27,12 @@
 
 use std::fmt;
 
-/// IEEE 802.3 CRC32 lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// IEEE 802.3 CRC32 slice-by-8 tables, built at compile time.
+/// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][b]` is
+/// the CRC contribution of byte `b` followed by `k` zero bytes, so eight
+/// lookups fold eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -38,10 +41,20 @@ const CRC_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// Streaming CRC32 (IEEE 802.3, as used by gzip/zlib/PNG).
@@ -62,11 +75,26 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    /// Feed `bytes` into the running checksum.
+    /// Feed `bytes` into the running checksum: eight bytes per step
+    /// (slice-by-8), then the tail bytewise.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
         let mut c = self.state;
-        for &b in bytes {
-            c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
         }
         self.state = c;
     }

@@ -16,8 +16,8 @@
 //!   not fit a block's shared memory.
 //! - **chunk lengths** — the per-chunk bit-length prefix sum runs as a
 //!   decoupled-lookback epilogue inside the shuffle-merge kernel
-//!   ([`gpu_sim::prefix::single_pass_scan`]) instead of as its own tiny
-//!   `enc_blockwise_len` launch.
+//!   ([`gpu_sim::prefix::single_pass_scan_traffic`]) instead of as its
+//!   own tiny `enc_blockwise_len` launch.
 //! - **backtrace** — breaking units are emitted via warp-aggregated
 //!   compaction (ballot + block-local scan + one coalesced segment write
 //!   per block) instead of per-unit random scatter.

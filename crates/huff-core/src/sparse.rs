@@ -70,14 +70,25 @@ impl SparseOutliers {
     /// present (binary search).
     pub fn lookup(&self, index: u64) -> Option<&[u16]> {
         let k = self.indices.binary_search(&index).ok()?;
-        Some(&self.symbols[self.offsets[k] as usize..self.offsets[k + 1] as usize])
+        self.unit(k).map(|(_, syms)| syms)
+    }
+
+    /// How many breaking units have a global index below `index` — the
+    /// position a walk over the units from `index` on starts at.
+    pub(crate) fn rank(&self, index: u64) -> usize {
+        self.indices.partition_point(|&i| i < index)
+    }
+
+    /// The `k`-th breaking unit in index order: its global unit index and
+    /// raw symbols.
+    pub(crate) fn unit(&self, k: usize) -> Option<(u64, &[u16])> {
+        let idx = *self.indices.get(k)?;
+        Some((idx, &self.symbols[self.offsets[k] as usize..self.offsets[k + 1] as usize]))
     }
 
     /// Iterate `(global_unit_index, symbols)`.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[u16])> {
-        self.indices.iter().enumerate().map(move |(k, &idx)| {
-            (idx, &self.symbols[self.offsets[k] as usize..self.offsets[k + 1] as usize])
-        })
+        (0..self.indices.len()).filter_map(move |k| self.unit(k))
     }
 
     /// Storage cost of the sidecar in bits (indices + offsets + raw
@@ -114,6 +125,14 @@ mod tests {
         assert_eq!(s.lookup(7), None);
         assert_eq!(s.num_units(), 2);
         assert_eq!(s.total_symbols(), 4);
+    }
+
+    #[test]
+    fn rank_and_unit_walk_in_index_order() {
+        let s = SparseOutliers::from_units(vec![(2, vec![1]), (5, vec![2, 3]), (9, vec![4])]);
+        assert_eq!([0, 2, 3, 5, 10].map(|i| s.rank(i)), [0, 0, 1, 1, 3]);
+        assert_eq!(s.unit(1), Some((5, &[2u16, 3][..])));
+        assert_eq!(s.unit(3), None);
     }
 
     #[test]

@@ -4,8 +4,22 @@ use huff_core::codebook::{self, generate_cl, generate_cw};
 use huff_core::codeword::Codeword;
 use huff_core::encode::reduce_merge::{reduce_unit, Unit};
 use huff_core::encode::shuffle_merge::{merge_window, shuffle_chunk};
+use huff_core::integrity::{crc32, Crc32};
 use huff_core::{bitstream, tree};
 use proptest::prelude::*;
+
+/// The textbook bitwise CRC-32 (reflected, polynomial `0xEDB88320`): the
+/// reference the table-driven implementation must reproduce.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+        }
+    }
+    c ^ 0xFFFF_FFFF
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -152,6 +166,25 @@ proptest! {
             }
             Unit::Breaking => prop_assert!(true_len > 32),
         }
+    }
+
+    /// A streamed CRC over any split of the input equals the one-shot
+    /// CRC, which equals the bitwise reference.
+    #[test]
+    fn crc32_streaming_equals_oneshot_equals_reference(
+        data in proptest::collection::vec(any::<u8>(), 0..2_000),
+        cuts in proptest::collection::vec(0usize..2_000, 0..12),
+    ) {
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+        cuts.sort_unstable();
+        let mut h = Crc32::new();
+        let mut at = 0;
+        for &c in cuts.iter().chain([data.len()].iter()) {
+            h.update(&data[at..c]);
+            at = c;
+        }
+        prop_assert_eq!(h.finalize(), crc32(&data));
+        prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
     }
 
     /// BitWriter/BitReader round-trip arbitrary field sequences.
